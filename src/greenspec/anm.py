@@ -26,12 +26,12 @@ raw measurements.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import toeplitz
 
 from .spectrum import TimeSignal
 
@@ -113,23 +113,36 @@ def select_tau(sigma: float, n: int) -> float:
 
 @lru_cache(maxsize=32)
 def _offset_index(n: int) -> tuple[np.ndarray, np.ndarray]:
-    # flattened lower-triangle positions grouped by diagonal offset i - j
+    # lower-triangle entries grouped by diagonal offset i - j, addressed in the
+    # float64 view of a flattened complex block: real part at 2k, imaginary
+    # part at 2k + 1, binned to 2 * offset and 2 * offset + 1
     i, j = np.tril_indices(n)
-    return (i - j, i * n + j)
+    flat = 2 * (i * n + j)
+    offsets = 2 * (i - j)
+    return (
+        np.stack((offsets, offsets + 1), axis=1).reshape(-1),
+        np.stack((flat, flat + 1), axis=1).reshape(-1),
+    )
+
+
+@lru_cache(maxsize=32)
+def _toeplitz_index(n: int) -> np.ndarray:
+    # T(u)[i, j] = w[(n - 1) + i - j] with w = (conj(u[n-1]), ..., conj(u[1]), u[0], ..., u[n-1])
+    i, j = np.indices((n, n))
+    return (n - 1) + i - j
 
 
 def _diag_sums(m: np.ndarray, n: int) -> np.ndarray:
     """Sums over each subdiagonal of an n x n block (offset 0..n-1)."""
     offsets, flat = _offset_index(n)
-    vals = m.reshape(-1)[flat]
-    return np.bincount(offsets, weights=vals.real, minlength=n) + 1j * np.bincount(
-        offsets, weights=vals.imag, minlength=n
-    )
+    vals = m.reshape(-1).view(np.float64)[flat]
+    return np.bincount(offsets, weights=vals, minlength=2 * n).view(complex)
 
 
-def _assemble(u: np.ndarray, x: np.ndarray, t: float, n: int) -> np.ndarray:
-    q = np.empty((n + 1, n + 1), dtype=complex)
-    q[:n, :n] = toeplitz(u, np.conj(u))
+def _assemble(u: np.ndarray, x: np.ndarray, t: float, q: np.ndarray) -> np.ndarray:
+    """Write [[T(u), x], [x*, t]] into the (n+1) x (n+1) buffer ``q``."""
+    n = len(u)
+    q[:n, :n] = np.concatenate((np.conj(u[:0:-1]), u))[_toeplitz_index(n)]
     q[:n, n] = x
     q[n, :n] = np.conj(x)
     q[n, n] = t
@@ -137,10 +150,18 @@ def _assemble(u: np.ndarray, x: np.ndarray, t: float, n: int) -> np.ndarray:
 
 
 def _psd_project(s: np.ndarray) -> np.ndarray:
-    s = 0.5 * (s + s.conj().T)
+    """Project onto the PSD cone; symmetrizes ``s`` in place first."""
+    s += s.conj().T
+    s *= 0.5
     w, v = np.linalg.eigh(s)
-    w = np.maximum(w, 0.0)
-    return (v * w) @ v.conj().T
+    return (v * np.maximum(w, 0.0)) @ v.conj().T
+
+
+def _frobenius(m: np.ndarray) -> float:
+    # the sum np.linalg.norm forms for a complex array, without its dispatch
+    flat = m.reshape(-1)
+    re, im = flat.real, flat.imag
+    return math.sqrt(re.dot(re) + im.dot(im))
 
 
 # a solve only counts as converged when the dual polynomial respects its
@@ -159,6 +180,7 @@ def _admm(
 ) -> DenoisedSolution:
     n = len(y)
     denom = n - np.arange(n)
+    q = np.empty((n + 1, n + 1), dtype=complex)  # the structured block, refilled each iteration
     if warm is not None and warm.z_state is not None and warm.z_state.shape == (n + 1, n + 1):
         x = warm.x_hat.copy()
         u = warm.toeplitz_vec.copy()
@@ -172,7 +194,7 @@ def _admm(
         u = _diag_sums(np.outer(y, np.conj(y)), n) / denom
         u[0] = np.real(u[0])
         t = float(np.linalg.norm(y))
-        big_z = _psd_project(_assemble(u, x, t, n))
+        big_z = _psd_project(_assemble(u, x, t, q))
         big_l = np.zeros((n + 1, n + 1), dtype=complex)
         rho = config.admm_rho
 
@@ -181,19 +203,22 @@ def _admm(
     it = 0
     residual_pass_iter: int | None = None
     for it in range(1, config.max_iters + 1):
+        l_rho = big_l / rho
         if not fix_x:
             x = (y + 2.0 * big_l[:n, n] + 2.0 * rho * big_z[:n, n]) / (1.0 + 2.0 * rho)
-        t = float(np.real(big_z[n, n] + big_l[n, n] / rho)) - tau / (2.0 * rho)
-        m0 = big_z[:n, :n] + big_l[:n, :n] / rho
+        t = float(np.real(big_z[n, n] + l_rho[n, n])) - tau / (2.0 * rho)
+        m0 = big_z[:n, :n] + l_rho[:n, :n]
         u = _diag_sums(m0, n) / denom
-        u[0] = (np.real(np.trace(m0)) - tau / (2.0 * rho)) / n
+        u[0] = (m0.trace().real - tau / (2.0 * rho)) / n
 
-        q = _assemble(u, x, t, n)
-        z_new = _psd_project(q - big_l / rho)
-        r_primal = float(np.linalg.norm(z_new - q))
-        r_dual = float(rho * np.linalg.norm(z_new - big_z))
+        _assemble(u, x, t, q)
+        z_new = _psd_project(q - l_rho)
+        step = z_new - q
+        r_primal = _frobenius(step)
+        r_dual = rho * _frobenius(z_new - big_z)
         big_z = z_new
-        big_l = big_l + rho * (big_z - q)
+        step *= rho
+        big_l += step
 
         if r_primal < config.primal_tol and r_dual < config.dual_tol:
             if fix_x:

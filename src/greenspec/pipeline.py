@@ -103,10 +103,15 @@ def _energy_window(config: ExperimentConfig) -> tuple[float, float]:
 
 def resolve_rescale_map(config: ExperimentConfig) -> RescaleMap:
     """Rescale map honoring energy bounds, gap override, and oversampling."""
+    config.signal.require_extent()
+    return _rescale_map(config)
+
+
+def _rescale_map(config: ExperimentConfig) -> RescaleMap:
+    # needs no extent: a config without both t_max and n gets the unpadded map
     omega_a, omega_b = _energy_window(config)
     delta = config.rescale.delta_omega_override
     sig = config.signal
-    sig.require_extent()
     if sig.t_max is not None and sig.n is not None:
         # oversampled grid: enlarge the padding so dt = span/(n-1) exactly
         if sig.n < 2:
@@ -392,9 +397,10 @@ def theory_threshold_t_max(config: ExperimentConfig) -> float:
     """Smallest t_max for which the sample-count bound n >= 2.5/gap holds.
 
     Uses the true minimal wraparound gap of the oracle spectrum in canonical
-    units together with the grid rule n = floor(t_max omega_max) + 1.
+    units together with the grid rule n = floor(t_max omega_max) + 1.  The
+    signal config needs no extent.
     """
-    rmap = resolve_rescale_map(config)
+    rmap = _rescale_map(config)
     truth = oracle_spectrum(config)
     freqs = sorted(rmap.frequency_to_canonical(p.frequency) for p in truth.poles)
     if len(freqs) < 2:
@@ -438,8 +444,9 @@ def run_sweep(
     """Full pipeline for each (t_max, variant, method, seed) combination.
 
     Cells are independent; each derives its own deterministic shot substream
-    from (t, seed), so results do not depend on ``workers``.  Failures are
-    recorded per cell and the sweep continues.
+    from (t, seed), so results do not depend on ``workers``.  Numeric failures
+    (ValueError, ArithmeticError, LinAlgError) are recorded per cell and the
+    sweep continues; any other exception propagates.
     """
     if not t_max_list or not seeds:
         raise ValueError("t_max_list and seeds must be non-empty")
@@ -462,7 +469,7 @@ def run_sweep(
         sig = replace(config.signal, t_max=t_max, t0=t0, seed=seed, **overrides)
         if config.signal.n is not None and config.signal.t_max is not None:
             # keep the configured sampling rate: rescale n with the window
-            base_span = config.signal.t_max - min(config.signal.t0, 0.0)
+            base_span = config.signal.t_max - config.signal.t0
             rate = (config.signal.n - 1) / base_span
             span = t_max - t0
             sig = replace(sig, n=max(2, int(math.floor(span * rate)) + 1))
@@ -484,7 +491,8 @@ def run_sweep(
                 q_max=out.q_max,
                 converged=converged,
             )
-        except Exception as exc:  # recorded, sweep continues
+        except (ValueError, ArithmeticError, np.linalg.LinAlgError) as exc:
+            # numeric failures are recorded and the sweep continues
             return SweepCell(
                 t_max=t_max,
                 method=method,

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 from _oracles import lasso_objective_oracle
+from scipy.linalg import toeplitz
 
 from greenspec.anm import (
     AnmConfig,
+    _assemble,
+    _diag_sums,
     atomic_denoise,
     atomic_norm,
     dual_polynomial,
@@ -37,6 +40,46 @@ class TestSelectTau:
     def test_tiny_n_rejected(self):
         with pytest.raises(ValueError):
             select_tau(0.1, 1)
+
+
+BLOCK_SIZES = (1, 2, 3, 8, 24, 47)
+
+
+def random_complex(rng, *shape):
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+class TestBlockHelpers:
+    @pytest.mark.parametrize("n", BLOCK_SIZES)
+    def test_assemble_matches_toeplitz_reference(self, n):
+        rng = np.random.default_rng(n)
+        u, x = random_complex(rng, n), random_complex(rng, n)
+        t = float(rng.normal())
+        expected = np.empty((n + 1, n + 1), dtype=complex)
+        expected[:n, :n] = toeplitz(u, np.conj(u))
+        expected[:n, n] = x
+        expected[n, :n] = np.conj(x)
+        expected[n, n] = t
+        buffer = np.full((n + 1, n + 1), np.nan, dtype=complex)
+        q = _assemble(u, x, t, buffer)
+        assert q is buffer
+        assert np.array_equal(q, expected)
+
+    @pytest.mark.parametrize("n", BLOCK_SIZES)
+    def test_diag_sums_match_trace(self, n):
+        rng = np.random.default_rng(100 + n)
+        m = random_complex(rng, n, n)
+        sums = _diag_sums(m, n)
+        assert sums.shape == (n,)
+        for k in range(n):
+            assert sums[k] == pytest.approx(np.trace(m, offset=-k), rel=1e-13, abs=1e-13)
+
+    def test_diag_sums_exact_on_integer_blocks(self):
+        # integer-valued entries sum exactly in any order
+        rng = np.random.default_rng(7)
+        m = rng.integers(-50, 50, (24, 24)) + 1j * rng.integers(-50, 50, (24, 24))
+        sums = _diag_sums(m.astype(complex), 24)
+        assert np.array_equal(sums, [np.trace(m, offset=-k) for k in range(24)])
 
 
 class TestAtomicNorm:

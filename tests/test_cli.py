@@ -177,3 +177,12 @@ class TestSweepCommand:
         rows = (out / "sweep.csv").read_text().splitlines()
         variants = {r.split(",")[2] for r in rows[1:]}
         assert variants == {"exact_noiseless", "trotter2_noiseless"}
+
+    def test_without_config(self, tmp_path):
+        # the default config sets no window; the theory threshold needs none
+        out = tmp_path / "d"
+        args = ["sweep", "--t-max", "0.01,0.05", "--method", "dft", "--out", str(out), "--quiet"]
+        assert main(args) == 0
+        assert (out / "sweep.csv").exists()
+        meta = load_json(out / "sweep_meta.json")
+        assert meta["theory_threshold_t_max"] > 0

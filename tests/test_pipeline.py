@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from greenspec import pipeline
 from greenspec.anm import AnmConfig
 from greenspec.pipeline import (
     ExperimentConfig,
@@ -189,6 +190,22 @@ class TestSweep:
         cells = run_sweep(cfg, [1e-6], [0], methods=("anm",))
         assert len(cells) == 1
         assert cells[0].error is not None
+
+    def test_programmer_errors_propagate(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise TypeError("not a numeric failure")
+
+        monkeypatch.setattr(pipeline, "reconstruct", broken)
+        cfg = ExperimentConfig(signal=SignalConfig(t_max=0.3, n=8))
+        with pytest.raises(TypeError):
+            run_sweep(cfg, [0.3], [0], methods=("dft",))
+
+    def test_positive_t0_keeps_configured_grid(self):
+        cfg = ExperimentConfig(signal=SignalConfig(evolver="exact", t0=0.1, t_max=0.5, n=41))
+        assert simulate_signal(cfg).grid.n == 41
+        (cell,) = run_sweep(cfg, [0.5], [0], methods=("dft",))
+        assert cell.error is None
+        assert cell.n == 41
 
 
 class TestTheoryThreshold:
