@@ -33,7 +33,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .spectrum import TimeSignal
+from .spectrum import TimeSignal, _golden_min
 
 
 @dataclass(frozen=True)
@@ -360,21 +360,7 @@ def _golden_ascent(dual: np.ndarray, lo: float, hi: float, iters: int) -> float:
     def q(f: float) -> float:
         return float(np.abs(np.sum(dual * np.exp(-2j * np.pi * f * j))))
 
-    ratio = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - ratio * (b - a)
-    d = a + ratio * (b - a)
-    qc, qd = q(c), q(d)
-    for _ in range(iters):
-        if qc > qd:
-            b, d, qd = d, c, qc
-            c = b - ratio * (b - a)
-            qc = q(c)
-        else:
-            a, c, qc = c, d, qd
-            d = a + ratio * (b - a)
-            qd = q(d)
-    return 0.5 * (a + b)
+    return _golden_min(lambda f: -q(f), lo, hi, iters)
 
 
 def _wrap_distance(f1: float, f2: float) -> float:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectrum import CANONICAL, LineSpectrum, Pole, TimeSignal
+from .spectrum import CANONICAL, LineSpectrum, Pole, TimeSignal, _golden_min
 
 
 @dataclass(frozen=True)
@@ -103,21 +103,7 @@ def _fit_peak(
     coarse = np.linspace(lo, hi, 33)
     best_f = float(coarse[int(np.argmin([score(f)[0] for f in coarse]))])
     span = (hi - lo) / 32.0
-    a, b = best_f - span, best_f + span
-    ratio = (np.sqrt(5.0) - 1.0) / 2.0
-    c = b - ratio * (b - a)
-    d = a + ratio * (b - a)
-    sc, sd = score(c)[0], score(d)[0]
-    for _ in range(60):
-        if sc < sd:
-            b, d, sd = d, c, sc
-            c = b - ratio * (b - a)
-            sc = score(c)[0]
-        else:
-            a, c, sc = c, d, sd
-            d = a + ratio * (b - a)
-            sd = score(d)[0]
-    f_hat = 0.5 * (a + b)
+    f_hat = _golden_min(lambda f: score(f)[0], best_f - span, best_f + span, 60)
     amp = score(f_hat)[1]
     return amp, f_hat % 1.0
 

@@ -31,6 +31,7 @@ from .spectrum import (
     RescaleMap,
     SamplingGrid,
     TimeSignal,
+    _golden_min,
     add_noise,
     build_rescale_map,
     energy_bounds,
@@ -155,12 +156,7 @@ def simulate_signal(config: ExperimentConfig) -> TimeSignal:
     gs = qsim.prepare_ground_state(config.model)
     shot = qsim.ShotConfig(shots=sig.shots, seed=sig.seed)
     green = qsim.green_sym if sig.use_sym else qsim.green_general
-    samples = np.array(
-        [
-            green(h_eff, gs, t, sig.evolver, sig.trotter_steps, shot)
-            for t in grid.times()
-        ]
-    )
+    samples = green(h_eff, gs, grid.times(), sig.evolver, sig.trotter_steps, shot)
     signal = TimeSignal(grid, samples, PHYSICAL)
     if sig.sigma > 0:
         signal = add_noise(signal, sig.sigma, seed=sig.seed + 0x5EED)
@@ -304,21 +300,8 @@ def _anm_tau_path(
     if refine:
         below = max([t for t in ladder if t < tau_best], default=tau_best / 2.0)
         above = min([t for t in ladder if t > tau_best], default=tau_best * 2.0)
-        ratio = (math.sqrt(5.0) - 1.0) / 2.0
-        a, b = math.log(below), math.log(above)
-        c = b - ratio * (b - a)
-        d = a + ratio * (b - a)
-        fc = evaluate(math.exp(c))[0]
-        fd = evaluate(math.exp(d))[0]
-        for _ in range(12):
-            if fc < fd:
-                b, d, fd = d, c, fc
-                c = b - ratio * (b - a)
-                fc = evaluate(math.exp(c))[0]
-            else:
-                a, c, fc = c, d, fd
-                d = a + ratio * (b - a)
-                fd = evaluate(math.exp(d))[0]
+        # golden section in log tau; every visited tau lands in the cache
+        _golden_min(lambda x: evaluate(math.exp(x))[0], math.log(below), math.log(above), 12)
         tau_best = select(list(cache))
     resid, sol, freqs, coeffs = cache[tau_best]
     return _package_result(y, cfg, sol, freqs, coeffs, resid)

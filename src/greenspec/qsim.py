@@ -6,14 +6,18 @@ the excited-sector Hamiltonian (U/4) Z1 Z2 + V X2, and the three-qubit
 effective Hamiltonian that applies one or the other depending on the
 ancilla via a (1 + Z_a)/2 projector term.  Time evolution is available
 exactly (dense eigendecomposition) or through a second-order symmetric
-product formula.
+product formula, to one time or to a whole 1-D array of times at once: a
+batch of states is an ``(n_t, 2^q)`` array with one row per time.
 
 Interferometry expectations are evaluated by direct linear algebra on the
 three-qubit state: Hadamard on the ancilla, ancilla-controlled Pauli,
 evolution under the effective Hamiltonian, controlled Pauli again, then a
-Z- or (rotated) Y-basis ancilla readout.  Finite-shot readout draws
-Bernoulli outcomes with the exact probability as bias, with an independent,
-reproducible substream per (time, seed, observable).
+Z- or (rotated) Y-basis ancilla readout.  The state before the evolution
+does not depend on t, so a sample grid costs one batched evolution per
+prepared Pauli: one for the one-sided assembly, two for the two-sided one.
+Finite-shot readout draws Bernoulli outcomes with the exact probability as
+bias, with an independent, reproducible substream per (time, seed,
+observable).
 """
 
 from __future__ import annotations
@@ -62,21 +66,22 @@ class PauliString:
         return out
 
     def apply(self, state: np.ndarray) -> np.ndarray:
-        """Apply the string to a 2^q state vector without forming the matrix."""
-        q = len(self.letters)
-        psi = state.reshape((2,) * q)
-        for axis, c in enumerate(self.letters):
+        """Apply the string to 2^q state vectors (last axis) without forming the matrix."""
+        lead = state.shape[:-1]
+        psi = state.reshape(lead + (2,) * len(self.letters))
+        ones = (1,) * (psi.ndim - 1)
+        for axis, c in enumerate(self.letters, start=len(lead)):
             if c == "I":
                 continue
             psi = np.moveaxis(psi, axis, 0)
             if c == "X":
                 psi = psi[::-1]
             elif c == "Y":
-                psi = psi[::-1] * np.array([-1.0j, 1.0j]).reshape((2,) + (1,) * (q - 1))
+                psi = psi[::-1] * np.array([-1.0j, 1.0j]).reshape((2,) + ones)
             elif c == "Z":
-                psi = psi * np.array([1.0, -1.0]).reshape((2,) + (1,) * (q - 1))
+                psi = psi * np.array([1.0, -1.0]).reshape((2,) + ones)
             psi = np.moveaxis(psi, 0, axis)
-        return psi.reshape(-1)
+        return psi.reshape(state.shape)
 
 
 @dataclass(frozen=True)
@@ -115,21 +120,27 @@ class PauliHamiltonian:
 
 @dataclass(frozen=True)
 class StateVector:
-    """Unit-norm complex amplitudes over computational basis states."""
+    """Unit-norm complex amplitudes over computational basis states.
+
+    The last axis indexes basis states; leading axes, if any, index a batch
+    of states (one per evolution time), and every state must have unit norm.
+    """
 
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
         amps = np.asarray(self.amplitudes, dtype=complex).copy()
-        norm = np.linalg.norm(amps)
-        if abs(norm - 1.0) > 1e-12:
-            raise ValueError(f"state norm {norm} deviates from 1 by more than 1e-12")
+        deviation = np.abs(np.linalg.norm(amps, axis=-1) - 1.0)
+        if np.any(deviation > 1e-12):
+            raise ValueError(
+                f"state norm deviates from 1 by {np.max(deviation)}, more than 1e-12"
+            )
         amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
 
     @property
     def qubit_count(self) -> int:
-        return int(np.log2(len(self.amplitudes)))
+        return int(np.log2(self.amplitudes.shape[-1]))
 
 
 @dataclass(frozen=True)
@@ -225,38 +236,50 @@ def ground_energy(h: PauliHamiltonian) -> float:
     return float(_eigendecomposition(h)[0][0])
 
 
-def exact_evolve(h: PauliHamiltonian, t: float, state: StateVector) -> StateVector:
-    """Apply exp(-i H t) through the dense eigendecomposition of H."""
-    if len(state.amplitudes) != h.dim:
+def _check_state(h: PauliHamiltonian, state: StateVector) -> None:
+    if state.amplitudes.shape != (h.dim,):
         raise ValueError("state dimension does not match Hamiltonian")
+
+
+def exact_evolve(h: PauliHamiltonian, t: float | np.ndarray, state: StateVector) -> StateVector:
+    """Apply exp(-i H t) through the dense eigendecomposition of H.
+
+    ``t`` is one time or a 1-D array of times; an array gives one evolved
+    row per time, all from one projection of the state onto the eigenbasis.
+    """
+    _check_state(h, state)
     w, v = _eigendecomposition(h)
-    amps = (v * np.exp(-1j * w * t)) @ (v.conj().T @ state.amplitudes)
+    phase = np.exp(-1j * w * np.asarray(t, dtype=float)[..., None])
+    amps = (v * phase[..., None, :]) @ (v.conj().T @ state.amplitudes)
     return StateVector(amps)
 
 
-def _apply_pauli_exponential(coeff: float, string: PauliString, angle: float, psi: np.ndarray) -> np.ndarray:
-    # exp(-i angle coeff P) psi = cos(a) psi - i sin(a) P psi, since P^2 = I
+def _apply_pauli_exponential(
+    coeff: float, string: PauliString, angle: np.ndarray, psi: np.ndarray
+) -> np.ndarray:
+    # exp(-i angle coeff P) psi = cos(a) psi - i sin(a) P psi, since P^2 = I;
+    # ``angle`` holds one value per row of psi, as a trailing length-1 axis
     a = angle * coeff
     if all(c == "I" for c in string.letters):
         return psi * np.exp(-1j * a)
-    if a == 0.0:
-        return psi
     return np.cos(a) * psi - 1j * np.sin(a) * string.apply(psi)
 
 
-def trotter2_evolve(h: PauliHamiltonian, t: float, steps: int, state: StateVector) -> StateVector:
+def trotter2_evolve(
+    h: PauliHamiltonian, t: float | np.ndarray, steps: int, state: StateVector
+) -> StateVector:
     """Second-order symmetric product formula for exp(-i H t).
 
     Each step applies the term exponentials at half the step size in list
     order, then again in reversed order, so single-step error is third order
-    in t/steps and the total error scales as steps^-2.
+    in t/steps and the total error scales as steps^-2.  ``t`` is one time or
+    a 1-D array of times; every exponential acts on all rows at once.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    if len(state.amplitudes) != h.dim:
-        raise ValueError("state dimension does not match Hamiltonian")
-    psi = np.asarray(state.amplitudes, dtype=complex).copy()
-    half = t / steps / 2.0
+    _check_state(h, state)
+    psi = state.amplitudes
+    half = np.asarray(t, dtype=float)[..., None] / steps / 2.0
     for _ in range(steps):
         for c, s in h.terms:
             psi = _apply_pauli_exponential(c, s, half, psi)
@@ -265,7 +288,9 @@ def trotter2_evolve(h: PauliHamiltonian, t: float, steps: int, state: StateVecto
     return StateVector(psi)
 
 
-def _evolve(h: PauliHamiltonian, t: float, state: StateVector, evolver: str, trotter_steps: int) -> StateVector:
+def _evolve(
+    h: PauliHamiltonian, t: np.ndarray, state: StateVector, evolver: str, trotter_steps: int
+) -> StateVector:
     if evolver == "exact":
         return exact_evolve(h, t, state)
     if evolver == "trotter2":
@@ -274,32 +299,30 @@ def _evolve(h: PauliHamiltonian, t: float, state: StateVector, evolver: str, tro
 
 
 def _controlled_site1(letter: str, psi: np.ndarray) -> np.ndarray:
-    """Apply X or Y on site qubit 1, controlled on the ancilla (MSB)."""
-    out = psi.copy()
-    block = psi[4:].reshape(2, 2)
-    if letter == "X":
-        out[4:] = block[::-1].reshape(-1)
-    elif letter == "Y":
-        out[4:] = (block[::-1] * np.array([[-1.0j], [1.0j]])).reshape(-1)
-    else:
+    """Apply X or Y on site qubit 1, controlled on the ancilla (MSB), to each row."""
+    # axes (ancilla, site 1, site 2): site 1 flips in the ancilla-1 half
+    shape = psi.shape[:-1] + (2, 2, 2)
+    block = psi.reshape(shape)[..., 1, ::-1, :]
+    if letter == "Y":
+        block = block * np.array([[-1.0j], [1.0j]])
+    elif letter != "X":
         raise ValueError(f"controlled Pauli must be X or Y, got {letter!r}")
+    out = psi.copy()
+    out.reshape(shape)[..., 1, :, :] = block
     return out
 
 
-def _ancilla_probabilities(psi: np.ndarray, basis: str) -> tuple[float, float]:
-    """P(ancilla=0), P(ancilla=1) after rotating into the readout basis.
+def _ancilla_p0(psi: np.ndarray, basis: str) -> np.ndarray:
+    """P(ancilla=0) of each row after rotating into the readout basis.
 
     ``basis`` 'z' applies a Hadamard; 'y' applies S-dagger then Hadamard, so
-    that P(0) - P(1) gives the real or imaginary interference term.
+    that 2 P(0) - 1 gives the real or imaginary interference term.
     """
-    a0, a1 = psi[:4], psi[4:]
+    a0, a1 = psi[..., :4], psi[..., 4:]
     if basis == "y":
         a1 = -1j * a1
     b0 = (a0 + a1) / np.sqrt(2.0)
-    b1 = (a0 - a1) / np.sqrt(2.0)
-    p0 = float(np.sum(np.abs(b0) ** 2))
-    p1 = float(np.sum(np.abs(b1) ** 2))
-    return p0, p1
+    return np.sum(np.abs(b0) ** 2, axis=-1)
 
 
 def _shot_rng(seed: int, t: float, tag: int) -> np.random.Generator:
@@ -309,38 +332,42 @@ def _shot_rng(seed: int, t: float, tag: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((seed, t_bits, tag)))
 
 
-def _estimate(p0: float, shot: ShotConfig, t: float, tag: int) -> float:
-    exact = 2.0 * p0 - 1.0
+def _estimate(p0: np.ndarray, shot: ShotConfig, times: np.ndarray, tag: int) -> np.ndarray:
     if shot.shots is None:
-        return exact
-    rng = _shot_rng(shot.seed, t, tag)
-    k = rng.binomial(shot.shots, min(max(p0, 0.0), 1.0))
+        return 2.0 * p0 - 1.0
+    k = np.array(
+        [
+            _shot_rng(shot.seed, t, tag).binomial(shot.shots, min(max(p, 0.0), 1.0))
+            for t, p in zip(times, p0)
+        ]
+    )
     return 2.0 * k / shot.shots - 1.0
 
 
 _COMBO_TAGS = {("X", "X"): 0, ("Y", "Y"): 1, ("X", "Y"): 2, ("Y", "X"): 3}
 
 
-def hadamard_test(
+def _times(t: float | np.ndarray) -> np.ndarray:
+    times = np.atleast_1d(np.asarray(t, dtype=float))
+    if times.ndim != 1:
+        raise ValueError("t must be a time or a 1-D array of times")
+    return times
+
+
+def _like(t: float | np.ndarray, values: np.ndarray):
+    """``values`` for an array ``t``; its only element as a Python number for a scalar."""
+    return values if np.ndim(t) else values[0].item()
+
+
+def _evolved_probe(
     h_eff: PauliHamiltonian,
     gs: StateVector,
     alpha: str,
-    beta: str,
-    t: float,
-    evolver: str = "exact",
-    trotter_steps: int = 2,
-    shot: ShotConfig = EXACT_SHOTS,
-) -> tuple[float, float]:
-    """Ancilla interferometry expectations for one (alpha, beta) Pauli pair.
-
-    Returns (e_z, e_minus_y), the real and imaginary parts of the sandwich
-    <U+ sigma_beta U sigma_alpha> on the ground state, where U is the
-    evolution conditioned through the effective Hamiltonian.  With finite
-    shots each value is the mean of independent +/-1 draws whose bias is the
-    exact expectation.
-    """
-    if alpha not in ("X", "Y") or beta not in ("X", "Y"):
-        raise ValueError("alpha and beta must be 'X' or 'Y'")
+    times: np.ndarray,
+    evolver: str,
+    trotter_steps: int,
+) -> np.ndarray:
+    """Rows (one per time) after the Hadamard, controlled alpha and evolution."""
     if len(gs.amplitudes) != 4:
         raise ValueError("ground state must live on the two site qubits")
     psi = np.zeros(8, dtype=complex)
@@ -348,66 +375,89 @@ def hadamard_test(
     # Hadamard on the ancilla
     psi = np.concatenate([(psi[:4] + psi[4:]), (psi[:4] - psi[4:])]) / np.sqrt(2.0)
     psi = _controlled_site1(alpha, psi)
-    psi = _evolve(h_eff, t, StateVector(psi), evolver, trotter_steps).amplitudes
+    return _evolve(h_eff, times, StateVector(psi), evolver, trotter_steps).amplitudes
+
+
+def hadamard_test(
+    h_eff: PauliHamiltonian,
+    gs: StateVector,
+    alpha: str,
+    beta: str,
+    t: float | np.ndarray,
+    evolver: str = "exact",
+    trotter_steps: int = 2,
+    shot: ShotConfig = EXACT_SHOTS,
+) -> tuple[float, float] | tuple[np.ndarray, np.ndarray]:
+    """Ancilla interferometry expectations for one (alpha, beta) Pauli pair.
+
+    Returns (e_z, e_minus_y), the real and imaginary parts of the sandwich
+    <U+ sigma_beta U sigma_alpha> on the ground state, where U is the
+    evolution conditioned through the effective Hamiltonian.  With finite
+    shots each value is the mean of independent +/-1 draws whose bias is the
+    exact expectation.  A scalar ``t`` gives two floats, a 1-D array of
+    times two arrays from one batched evolution.
+    """
+    if alpha not in ("X", "Y") or beta not in ("X", "Y"):
+        raise ValueError("alpha and beta must be 'X' or 'Y'")
+    times = _times(t)
+    psi = _evolved_probe(h_eff, gs, alpha, times, evolver, trotter_steps)
     psi = _controlled_site1(beta, psi)
     tag = _COMBO_TAGS[(alpha, beta)]
-    p0_z, _ = _ancilla_probabilities(psi, "z")
-    p0_y, _ = _ancilla_probabilities(psi, "y")
-    e_z = _estimate(p0_z, shot, t, 2 * tag)
-    e_minus_y = _estimate(p0_y, shot, t, 2 * tag + 1)
-    return e_z, e_minus_y
+    e_z = _estimate(_ancilla_p0(psi, "z"), shot, times, 2 * tag)
+    e_minus_y = _estimate(_ancilla_p0(psi, "y"), shot, times, 2 * tag + 1)
+    return _like(t, e_z), _like(t, e_minus_y)
+
+
+def _complex(real: np.ndarray, imag: np.ndarray) -> np.ndarray:
+    # set the parts directly: real + 1j * imag can flip the sign of a zero
+    out = np.empty(len(real), dtype=complex)
+    out.real = real
+    out.imag = imag
+    return out
 
 
 def green_sym(
     h_eff: PauliHamiltonian,
     gs: StateVector,
-    t: float,
+    t: float | np.ndarray,
     evolver: str = "exact",
     trotter_steps: int = 2,
     shot: ShotConfig = EXACT_SHOTS,
-) -> complex:
+) -> complex | np.ndarray:
     """One-sided Green's-function sample sum_l |a_l|^2 exp(i w_l t).
 
     Valid when every per-line Z expectation vanishes (true for this model by
     particle-hole symmetry), so a single (X, X) interferometry pair suffices.
+    A 1-D array of times gives an array of samples.
     """
-    e_z, e_my = hadamard_test(h_eff, gs, "X", "X", t, evolver, trotter_steps, shot)
-    return complex(e_z, -e_my)
+    e_z, e_my = hadamard_test(h_eff, gs, "X", "X", _times(t), evolver, trotter_steps, shot)
+    return _like(t, _complex(e_z, -e_my))
 
 
 def green_general(
     h_eff: PauliHamiltonian,
     gs: StateVector,
-    t: float,
+    t: float | np.ndarray,
     evolver: str = "exact",
     trotter_steps: int = 2,
     shot: ShotConfig = EXACT_SHOTS,
-) -> complex:
+) -> complex | np.ndarray:
     """Two-sided Green's-function sample, valid for positive and negative t.
 
     Assembles sum_l |a_l|^2 [(1 + <Z>_l) e^{-i w_l t} + (1 - <Z>_l) e^{i w_l t}]
-    from the four (alpha, beta) interferometry pairs, using that the (X, X)
-    and (Y, Y) sandwiches agree and the cross terms carry opposite signs.
+    from the real parts of the four (alpha, beta) interferometry pairs, using
+    that the (X, X) and (Y, Y) sandwiches agree and the cross terms carry
+    opposite signs.  Both pairs with the same alpha share one evolution, so
+    a 1-D array of times costs two evolutions.
     """
-    e_xx = hadamard_test(h_eff, gs, "X", "X", t, evolver, trotter_steps, shot)
-    e_yy = hadamard_test(h_eff, gs, "Y", "Y", t, evolver, trotter_steps, shot)
-    e_xy = hadamard_test(h_eff, gs, "X", "Y", t, evolver, trotter_steps, shot)
-    e_yx = hadamard_test(h_eff, gs, "Y", "X", t, evolver, trotter_steps, shot)
-    return complex(e_xx[0] + e_yy[0], e_yx[0] - e_xy[0])
-
-
-def sandwich_expectation(
-    h_eff: PauliHamiltonian,
-    gs: StateVector,
-    alpha: str,
-    beta: str,
-    t: float,
-    evolver: str = "exact",
-    trotter_steps: int = 2,
-) -> complex:
-    """Exact <U+ sigma_beta U sigma_alpha> as a complex number (no shots)."""
-    e_z, e_my = hadamard_test(h_eff, gs, alpha, beta, t, evolver, trotter_steps)
-    return complex(e_z, e_my)
+    times = _times(t)
+    e_z = {}
+    for alpha in ("X", "Y"):
+        psi = _evolved_probe(h_eff, gs, alpha, times, evolver, trotter_steps)
+        for beta in ("X", "Y"):
+            p0 = _ancilla_p0(_controlled_site1(beta, psi), "z")
+            e_z[alpha + beta] = _estimate(p0, shot, times, 2 * _COMBO_TAGS[(alpha, beta)])
+    return _like(t, _complex(e_z["XX"] + e_z["YY"], e_z["YX"] - e_z["XY"]))
 
 
 def spectral_oracle(params: ModelParams, prune: float = 1e-12) -> LineSpectrum:

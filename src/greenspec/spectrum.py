@@ -289,6 +289,28 @@ def add_noise(signal: TimeSignal, sigma: float, seed: int) -> TimeSignal:
     return TimeSignal(signal.grid, signal.samples + noise * (sigma / np.sqrt(2.0)), signal.domain)
 
 
+def _golden_min(f, a: float, b: float, iters: int) -> float:
+    """Golden-section search for a minimum of ``f`` on [a, b].
+
+    Evaluates f at the two interior points, then once per iteration, and
+    returns the midpoint of the final bracket.  Maximize by passing -f.
+    """
+    ratio = (np.sqrt(5.0) - 1.0) / 2.0
+    c = b - ratio * (b - a)
+    d = a + ratio * (b - a)
+    fc, fd = f(c), f(d)
+    for _ in range(iters):
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - ratio * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + ratio * (b - a)
+            fd = f(d)
+    return 0.5 * (a + b)
+
+
 # ---------------------------------------------------------------------------
 # JSON wire formats
 # ---------------------------------------------------------------------------

@@ -17,7 +17,14 @@ from greenspec.pipeline import (
     simulate_signal,
     sweep_to_csv_rows,
 )
-from greenspec.qsim import ModelParams, ShotConfig, build_hamiltonians, green_sym, prepare_ground_state
+from greenspec.qsim import (
+    ModelParams,
+    ShotConfig,
+    build_hamiltonians,
+    green_general,
+    green_sym,
+    prepare_ground_state,
+)
 
 
 FAST_ANM = AnmConfig(tau="ladder", primal_tol=3e-6, dual_tol=3e-6, max_iters=6000)
@@ -85,6 +92,27 @@ class TestSimulate:
         cfg = ExperimentConfig(signal=SignalConfig(t_max=0.4, n=6, use_sym=False))
         signal = simulate_signal(cfg)
         assert signal.samples[0] == pytest.approx(2.0 + 0j, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "sig",
+        [
+            SignalConfig(evolver="trotter2", t_max=0.5, n=14, shots=100000, seed=4),
+            SignalConfig(evolver="exact", t0=-0.45, t_max=0.45, n=46, use_sym=False),
+            SignalConfig(evolver="trotter2", t0=-0.35, t_max=0.35, n=36, use_sym=False, shots=100000),
+        ],
+        ids=["one-sided-trotter2-shots", "two-sided-exact", "two-sided-trotter2-shots"],
+    )
+    def test_samples_match_per_time_calls(self, sig):
+        cfg = ExperimentConfig(signal=sig)
+        signal = simulate_signal(cfg)
+        _, _, h_eff = build_hamiltonians(cfg.model)
+        gs = prepare_ground_state(cfg.model)
+        green = green_sym if sig.use_sym else green_general
+        shot = ShotConfig(shots=sig.shots, seed=sig.seed)
+        expected = np.array(
+            [green(h_eff, gs, t, sig.evolver, sig.trotter_steps, shot) for t in signal.grid.times()]
+        )
+        assert signal.samples.tobytes() == expected.tobytes()
 
 
 class TestOracleSpectrum:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from greenspec import qsim
 from greenspec.qsim import (
     ModelParams,
     PauliHamiltonian,
@@ -15,7 +16,6 @@ from greenspec.qsim import (
     hadamard_test,
     mitigate_gate_error,
     prepare_ground_state,
-    sandwich_expectation,
     spectral_oracle,
     trotter2_evolve,
 )
@@ -215,7 +215,7 @@ class TestHadamardTest:
                 bra = expm(-1j * h_gs.matrix() * t) @ gs.amplitudes
                 ket = mats[beta] @ expm(-1j * h_ex.matrix() * t) @ mats[alpha] @ gs.amplitudes
                 expected = np.vdot(bra, ket)
-                got = sandwich_expectation(h_eff, gs, alpha, beta, t)
+                got = complex(*hadamard_test(h_eff, gs, alpha, beta, t))
                 assert got == pytest.approx(expected, abs=1e-10)
 
     def test_invalid_pauli_rejected(self):
@@ -316,9 +316,92 @@ class TestGreenFunctions:
         _, _, h_eff = build_hamiltonians(PARAMS)
         gs = prepare_ground_state(PARAMS)
         for t in (0.4, 1.3):
-            yx = sandwich_expectation(h_eff, gs, "X", "Y", t)
-            xy = sandwich_expectation(h_eff, gs, "Y", "X", t)
+            yx = complex(*hadamard_test(h_eff, gs, "X", "Y", t))
+            xy = complex(*hadamard_test(h_eff, gs, "Y", "X", t))
             assert yx == pytest.approx(-xy, abs=1e-10)
+
+
+# (t0, t_max, n) grids: one-sided from t = 0, two-sided through t = 0, n = 2
+BATCH_GRIDS = [(0.0, 0.5, 13), (-0.4, 0.4, 21), (0.0, 0.3, 2), (-0.3, 0.3, 2)]
+
+
+class TestBatchedTimes:
+    @pytest.fixture(params=["exact", "trotter2"])
+    def evolver(self, request):
+        return request.param
+
+    @pytest.fixture(params=[None, 100000])
+    def shot(self, request):
+        return ShotConfig(shots=request.param, seed=7)
+
+    @pytest.fixture(params=BATCH_GRIDS, ids=lambda g: f"t0={g[0]}-n={g[2]}")
+    def times(self, request):
+        t0, t_max, n = request.param
+        return SamplingGrid(t0, n, (t_max - t0) / (n - 1)).times()
+
+    def test_hadamard_test_rows_match_scalar_calls(self, evolver, shot, times):
+        _, _, h_eff = build_hamiltonians(PARAMS)
+        gs = prepare_ground_state(PARAMS)
+        for alpha, beta in (("X", "X"), ("Y", "Y"), ("X", "Y"), ("Y", "X")):
+            e_z, e_my = hadamard_test(h_eff, gs, alpha, beta, times, evolver, 2, shot)
+            scalar = [hadamard_test(h_eff, gs, alpha, beta, t, evolver, 2, shot) for t in times]
+            assert e_z.tobytes() == np.array([z for z, _ in scalar]).tobytes()
+            assert e_my.tobytes() == np.array([my for _, my in scalar]).tobytes()
+
+    @pytest.mark.parametrize("green", [green_sym, green_general])
+    def test_green_rows_match_scalar_calls(self, green, evolver, shot, times):
+        _, _, h_eff = build_hamiltonians(PARAMS)
+        gs = prepare_ground_state(PARAMS)
+        batched = green(h_eff, gs, times, evolver, 2, shot)
+        scalar = np.array([green(h_eff, gs, t, evolver, 2, shot) for t in times])
+        assert batched.tobytes() == scalar.tobytes()
+
+    def test_scalar_time_gives_python_numbers(self):
+        _, _, h_eff = build_hamiltonians(PARAMS)
+        gs = prepare_ground_state(PARAMS)
+        shot = ShotConfig(shots=100, seed=1)
+        assert all(type(e) is float for e in hadamard_test(h_eff, gs, "X", "Y", 0.3, shot=shot))
+        assert type(green_sym(h_eff, gs, 0.3)) is complex
+        assert type(green_general(h_eff, gs, np.float64(0.3), shot=shot)) is complex
+
+    @pytest.mark.parametrize(
+        "green, expected", [(green_sym, 1), (green_general, 2)], ids=["sym", "general"]
+    )
+    def test_one_evolution_per_prepared_pauli(self, monkeypatch, evolver, green, expected):
+        _, _, h_eff = build_hamiltonians(PARAMS)
+        gs = prepare_ground_state(PARAMS)
+        calls = []
+        for name in ("exact_evolve", "trotter2_evolve"):
+            original = getattr(qsim, name)
+
+            def counted(*args, _original=original, **kwargs):
+                calls.append(args)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(qsim, name, counted)
+        green(h_eff, gs, np.linspace(-0.5, 0.5, 41), evolver)
+        assert len(calls) == expected
+
+    def test_non_unit_row_rejected(self):
+        rows = np.zeros((3, 4), dtype=complex)
+        rows[:, 0] = [1.0, 1.0 + 1e-9, 1.0]
+        with pytest.raises(ValueError):
+            StateVector(rows)
+
+    def test_evolved_rows_keep_unit_norm_check(self, monkeypatch):
+        _, _, h_eff = build_hamiltonians(PARAMS)
+        gs = prepare_ground_state(PARAMS)
+        w, v = qsim._eigendecomposition(h_eff)
+        # a basis that is not unitary stretches every evolved row
+        monkeypatch.setattr(qsim, "_eigendecomposition", lambda h: (w, 1.001 * v))
+        with pytest.raises(ValueError):
+            green_sym(h_eff, gs, np.linspace(0.0, 0.5, 9))
+
+    def test_multidimensional_times_rejected(self):
+        _, _, h_eff = build_hamiltonians(PARAMS)
+        gs = prepare_ground_state(PARAMS)
+        with pytest.raises(ValueError):
+            green_sym(h_eff, gs, np.zeros((2, 3)))
 
 
 class TestSpectralOracle:
