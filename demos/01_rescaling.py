@@ -17,7 +17,6 @@ from greenspec import (
     SamplingGrid,
     build_hamiltonians,
     build_rescale_map,
-    dft_phase_shift,
     energy_bounds,
     from_canonical,
     synthesize_signal,
@@ -38,7 +37,7 @@ rmap = build_rescale_map(omega_a, omega_b, n_peaks_min=4)
 print(f"gap estimate   : {rmap.delta_omega:.4f}")
 print(f"bandwidth      : {rmap.omega_max:.4f} cycles/time  (dt = {rmap.dt:.4f})")
 print(f"phase shift    : {rmap.phi:+.4f}   (-1/2 marks a symmetric window)")
-print(f"shift for [-1/2,1/2) readout: {dft_phase_shift(rmap):+.4f}")
+print(f"shift for [-1/2,1/2) readout: {rmap.phi + 0.5:+.4f}")
 
 # A toy four-line spectrum within the window.
 spectrum = LineSpectrum(

@@ -24,7 +24,7 @@ from greenspec import (
 
 params = ModelParams(u=4.0, v=0.745)
 h_gs, h_ex, h_eff = build_hamiltonians(params)
-print("conditioned Hamiltonian terms:", h_eff.coefficient_map())
+print("conditioned Hamiltonian terms:", [(c, str(s)) for c, s in h_eff.terms])
 
 gs = prepare_ground_state(params)
 print(f"ground state amplitudes: {np.round(gs.amplitudes, 4)}")

@@ -53,7 +53,6 @@ from .spectrum import (
     TimeSignal,
     add_noise,
     build_rescale_map,
-    dft_phase_shift,
     energy_bounds,
     from_canonical,
     synthesize_signal,

@@ -40,8 +40,10 @@ from .spectrum import TimeSignal, _golden_min
 class AnmConfig:
     """Solver and peak-extraction settings.
 
-    ``tau`` is the regularization weight: a number, or "auto" to derive it
-    from a noise estimate (see :func:`select_tau`).  ``grid_points`` of None
+    ``tau`` is the regularization weight: a number, or one of the policies
+    "auto", "ladder" and "path", which the pipeline resolves to numbers
+    (see :func:`greenspec.pipeline.anm_reconstruct_canonical`);
+    :func:`atomic_denoise` itself needs a number.  ``grid_points`` of None
     resolves to max(4096, 64 n) at solve time.
     """
 
@@ -263,19 +265,20 @@ def _admm(
 def atomic_denoise(
     y: TimeSignal,
     config: AnmConfig,
-    sigma: float = 0.0,
     warm: DenoisedSolution | None = None,
 ) -> DenoisedSolution:
     """Solve the regularized denoising program for a canonical signal.
 
-    ``config.tau`` of "auto" (or "path", which callers resolve beforehand)
-    selects :func:`select_tau` with the supplied noise level.  The problem is
-    solved in units of ||y|| and rescaled back, so tolerances behave
-    uniformly across signal magnitudes.  A prior solution for the same data
-    at a nearby tau can be passed as ``warm`` to shortcut convergence.
+    ``config.tau`` must be a number; the string policies are resolved by the
+    pipeline, and passing one here raises ValueError.  The problem is solved
+    in units of ||y|| and rescaled back, so tolerances behave uniformly
+    across signal magnitudes.  A prior solution for the same data at a
+    nearby tau can be passed as ``warm`` to shortcut convergence.
     """
     if y.domain != "canonical":
         raise ValueError("atomic_denoise expects a canonical-domain signal")
+    if isinstance(config.tau, str):
+        raise ValueError(f"atomic_denoise needs a numeric tau, not {config.tau!r}")
     samples = np.asarray(y.samples, dtype=complex)
     n = len(samples)
     if n < 2:
@@ -285,7 +288,7 @@ def atomic_denoise(
             f"n = {n}: separation guarantees are vacuous for so few samples",
             stacklevel=2,
         )
-    tau = select_tau(sigma, n) if isinstance(config.tau, str) else float(config.tau)
+    tau = float(config.tau)
 
     scale = float(np.linalg.norm(samples))
     if scale == 0.0:
@@ -354,15 +357,6 @@ def dual_polynomial_grid(solution: DenoisedSolution, grid_points: int) -> np.nda
     return np.abs(np.fft.fft(solution.dual, grid_points))
 
 
-def _golden_ascent(dual: np.ndarray, lo: float, hi: float, iters: int) -> float:
-    j = np.arange(len(dual))
-
-    def q(f: float) -> float:
-        return float(np.abs(np.sum(dual * np.exp(-2j * np.pi * f * j))))
-
-    return _golden_min(lambda f: -q(f), lo, hi, iters)
-
-
 def _wrap_distance(f1: float, f2: float) -> float:
     d = abs(f1 - f2) % 1.0
     return min(d, 1.0 - d)
@@ -384,7 +378,12 @@ def locate_peaks(solution: DenoisedSolution, config: AnmConfig) -> list[float]:
     candidates = np.nonzero((qg >= config.peak_threshold) & (qg >= left) & (qg > right))[0]
     refined: list[tuple[float, float]] = []
     for k in candidates:
-        f = _golden_ascent(solution.dual, (k - 1.0) / grid, (k + 1.0) / grid, config.refine_iters)
+        f = _golden_min(
+            lambda f: -dual_polynomial(solution, f),
+            (k - 1.0) / grid,
+            (k + 1.0) / grid,
+            config.refine_iters,
+        )
         refined.append((f % 1.0, dual_polynomial(solution, f)))
     refined.sort(key=lambda fq: -fq[1])
     kept: list[tuple[float, float]] = []

@@ -23,6 +23,7 @@ import numpy as np
 from . import anm, pipeline
 from .spectrum import (
     PHYSICAL,
+    TimeSignal,
     dump_json,
     load_json,
     signal_from_json,
@@ -63,31 +64,21 @@ def _apply_seed(config: pipeline.ExperimentConfig, seed: int | None) -> pipeline
     return replace(config, signal=replace(config.signal, seed=seed))
 
 
-def _to_retarded(signal):
-    """Attach the retarded prefactor -i theta(t) (theta(0) = 1)."""
-    from .spectrum import TimeSignal
+def _retarded(signal: TimeSignal, factor: complex) -> TimeSignal:
+    """Multiply a non-negative-time signal by ``factor``.
 
-    t = signal.grid.times()
-    if np.any(t < 0):
+    -1j attaches the retarded prefactor -i theta(t) (theta(0) = 1); 1j strips it.
+    """
+    if np.any(signal.grid.times() < 0):
         raise _UsageError("retarded convention cannot represent negative times")
-    return TimeSignal(signal.grid, -1j * signal.samples, signal.domain)
-
-
-def _from_retarded(signal):
-    """Strip the retarded prefactor from a non-negative-time signal."""
-    from .spectrum import TimeSignal
-
-    t = signal.grid.times()
-    if np.any(t < 0):
-        raise _UsageError("retarded convention cannot represent negative times")
-    return TimeSignal(signal.grid, 1j * signal.samples, signal.domain)
+    return TimeSignal(signal.grid, factor * signal.samples, signal.domain)
 
 
 def cmd_simulate(args) -> int:
     config = _apply_seed(_load_config(args.config), args.seed)
     signal = pipeline.simulate_signal(config)
     if args.convention == "retarded":
-        signal = _to_retarded(signal)
+        signal = _retarded(signal, -1j)
     os.makedirs(args.out, exist_ok=True)
     sig_path = os.path.join(args.out, "signal.json")
     dump_json(signal_to_json(signal), sig_path)
@@ -114,7 +105,7 @@ def cmd_reconstruct(args) -> int:
     except (OSError, json.JSONDecodeError, KeyError) as exc:
         raise _IoError(f"cannot read signal {args.signal}: {exc}") from exc
     if args.convention == "retarded":
-        signal = _from_retarded(signal)
+        signal = _retarded(signal, 1j)
     os.makedirs(args.out, exist_ok=True)
     methods = ("anm", "dft") if args.method == "both" else (args.method,)
     for method in methods:
@@ -164,9 +155,7 @@ def cmd_sweep(args) -> int:
     seeds = [int(v) for v in args.seeds.split(",")]
     methods = ("anm", "dft") if args.method == "both" else (args.method,)
     variants = tuple(args.variant) if args.variant else None
-    cells = pipeline.run_sweep(
-        config, t_max_list, seeds, methods=methods, variants=variants, workers=args.workers
-    )
+    cells = pipeline.run_sweep(config, t_max_list, seeds, methods=methods, variants=variants)
     os.makedirs(args.out, exist_ok=True)
     csv_path = os.path.join(args.out, "sweep.csv")
     with open(csv_path, "w") as fh:
@@ -238,7 +227,12 @@ def build_parser() -> argparse.ArgumentParser:
         choices=sorted(pipeline.VARIANTS),
         help="signal variant(s); default: the one implied by the config",
     )
-    p_sweep.add_argument("--workers", type=int, default=1)
+    p_sweep.add_argument(
+        "--workers",
+        type=int,
+        default=1,
+        help="accepted for compatibility and ignored: cells run in order in one process",
+    )
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_oracle = sub.add_parser("oracle", help="print the exact pole table")

@@ -193,10 +193,8 @@ def noise_scale_estimate(config: ExperimentConfig) -> float:
 
 @dataclass(frozen=True)
 class AnmResult:
-    spectrum: LineSpectrum  # physical domain
-    canonical_freqs: list[float]
+    spectrum: LineSpectrum  # canonical domain
     tau: float
-    fit_residual: float
     q_max: float
     solution: anm.DenoisedSolution
 
@@ -221,8 +219,10 @@ def anm_reconstruct_canonical(
 ) -> AnmResult:
     """Denoise, locate dual-polynomial peaks, and fit amplitudes.
 
-    Numeric ``cfg.tau`` and the "auto" policy solve once ("auto" additionally
-    floors the noise-scaled weight at TAU_FLOOR_REL * ||y||).  The "ladder"
+    This is the one place the tau policies are resolved into the numbers
+    :func:`anm.atomic_denoise` needs.  Numeric ``cfg.tau`` and the "auto"
+    policy solve once ("auto" takes :func:`anm.select_tau` of the noise
+    estimate, floored at TAU_FLOOR_REL * ||y||).  The "ladder"
     and "path" policies scan a geometric grid of regularization weights,
     scoring each candidate by the least-squares misfit of its fitted atoms
     against the data; "path" additionally sharpens the best bracket by
@@ -236,22 +236,15 @@ def anm_reconstruct_canonical(
         tau = max(anm.select_tau(sigma_est, y.grid.n), TAU_FLOOR_REL * norm_y)
         cfg = replace(cfg, tau=tau)
     sol = anm.atomic_denoise(y, cfg)
-    freqs, coeffs, resid = _peaks_and_fit(y, sol, cfg)
-    return _package_result(y, cfg, sol, freqs, coeffs, resid)
+    freqs, coeffs, _ = _peaks_and_fit(y, sol, cfg)
+    return _package_result(y, cfg, sol, freqs, coeffs)
 
 
-def _package_result(y, cfg, sol, freqs, coeffs, resid) -> AnmResult:
+def _package_result(y, cfg, sol, freqs, coeffs) -> AnmResult:
     q_max = float(np.max(anm.dual_polynomial_grid(sol, cfg.resolve_grid(y.grid.n))))
     poles = tuple(Pole(c, f) for f, c in zip(freqs, coeffs))
     spectrum = LineSpectrum(tuple(sorted(poles, key=lambda p: p.frequency)), CANONICAL)
-    return AnmResult(
-        spectrum=spectrum,
-        canonical_freqs=list(freqs),
-        tau=sol.tau,
-        fit_residual=resid,
-        q_max=q_max,
-        solution=sol,
-    )
+    return AnmResult(spectrum=spectrum, tau=sol.tau, q_max=q_max, solution=sol)
 
 
 def _anm_tau_path(
@@ -303,12 +296,8 @@ def _anm_tau_path(
         # golden section in log tau; every visited tau lands in the cache
         _golden_min(lambda x: evaluate(math.exp(x))[0], math.log(below), math.log(above), 12)
         tau_best = select(list(cache))
-    resid, sol, freqs, coeffs = cache[tau_best]
-    return _package_result(y, cfg, sol, freqs, coeffs, resid)
-
-
-def dft_reconstruct_canonical(y: TimeSignal, cfg: dft.DftConfig) -> LineSpectrum:
-    return dft.extract_peaks_clean(y, cfg)
+    _, sol, freqs, coeffs = cache[tau_best]
+    return _package_result(y, cfg, sol, freqs, coeffs)
 
 
 @dataclass(frozen=True)
@@ -367,7 +356,7 @@ def reconstruct(
             dual_solution=result.solution,
         )
     if method == "dft":
-        canon = dft_reconstruct_canonical(y, config.dft)
+        canon = dft.extract_peaks_clean(y, config.dft)
         est = _project_physical(_prune_small(from_canonical(canon, rmap)))
         report = metrics.match_poles(truth, est)
         return ReconstructionOutput(
@@ -416,88 +405,75 @@ class SweepCell:
     error: str | None = None
 
 
+def _run_cell(
+    config: ExperimentConfig, t_max: float, variant: str, method: str, seed: int
+) -> SweepCell:
+    overrides = VARIANTS.get(variant, {})
+    # windows with t0 < 0 slide with t_max (two-sided sampling)
+    t0 = -t_max if config.signal.t0 < 0 else config.signal.t0
+    sig = replace(config.signal, t_max=t_max, t0=t0, seed=seed, **overrides)
+    if config.signal.n is not None and config.signal.t_max is not None:
+        # keep the configured sampling rate: rescale n with the window
+        base_span = config.signal.t_max - config.signal.t0
+        rate = (config.signal.n - 1) / base_span
+        span = t_max - t0
+        sig = replace(sig, n=max(2, int(math.floor(span * rate)) + 1))
+    cell_cfg = replace(config, signal=sig)
+    try:
+        signal = simulate_signal(cell_cfg)
+        out = reconstruct(signal, cell_cfg, method)
+    except (ValueError, ArithmeticError, np.linalg.LinAlgError) as exc:
+        return SweepCell(
+            t_max=t_max,
+            method=method,
+            variant=variant,
+            n=-1,
+            seed=seed,
+            epsilon=float("nan"),
+            tau=None,
+            q_max=None,
+            error=f"{type(exc).__name__}: {exc}",
+        )
+    return SweepCell(
+        t_max=t_max,
+        method=method,
+        variant=variant,
+        n=signal.grid.n,
+        seed=seed,
+        epsilon=out.epsilon,
+        tau=out.tau,
+        q_max=out.q_max,
+        converged=out.dual_solution.converged if out.dual_solution is not None else None,
+    )
+
+
 def run_sweep(
     config: ExperimentConfig,
     t_max_list: list[float],
     seeds: list[int],
     methods: tuple[str, ...] = ("anm", "dft"),
     variants: tuple[str, ...] | None = None,
-    workers: int = 1,
 ) -> list[SweepCell]:
     """Full pipeline for each (t_max, variant, method, seed) combination.
 
-    Cells are independent; each derives its own deterministic shot substream
-    from (t, seed), so results do not depend on ``workers``.  Numeric failures
-    (ValueError, ArithmeticError, LinAlgError) are recorded per cell and the
-    sweep continues; any other exception propagates.
+    Cells run one after another in this process and come back in that order:
+    t_max outermost, then variant, method and seed.  Each cell derives its
+    own deterministic shot substream from (t, seed), so a cell's result does
+    not depend on which cells ran before it.  Numeric failures (ValueError,
+    ArithmeticError, LinAlgError) are recorded per cell and the sweep
+    continues; any other exception propagates.
     """
     if not t_max_list or not seeds:
         raise ValueError("t_max_list and seeds must be non-empty")
     if variants is None:
         variants = (_variant_name(config),)
-
-    tasks = [
-        (t_max, variant, method, seed)
+    return [
+        _run_cell(config, t_max, variant, method, seed)
         for t_max in t_max_list
         for variant in variants
         for method in methods
         for seed in seeds
     ]
-
-    def run_cell(task):
-        t_max, variant, method, seed = task
-        overrides = VARIANTS.get(variant, {})
-        # windows with t0 < 0 slide with t_max (two-sided sampling)
-        t0 = -t_max if config.signal.t0 < 0 else config.signal.t0
-        sig = replace(config.signal, t_max=t_max, t0=t0, seed=seed, **overrides)
-        if config.signal.n is not None and config.signal.t_max is not None:
-            # keep the configured sampling rate: rescale n with the window
-            base_span = config.signal.t_max - config.signal.t0
-            rate = (config.signal.n - 1) / base_span
-            span = t_max - t0
-            sig = replace(sig, n=max(2, int(math.floor(span * rate)) + 1))
-        cell_cfg = replace(config, signal=sig)
-        try:
-            signal = simulate_signal(cell_cfg)
-            out = reconstruct(signal, cell_cfg, method)
-            converged = (
-                out.dual_solution.converged if out.dual_solution is not None else None
-            )
-            return SweepCell(
-                t_max=t_max,
-                method=method,
-                variant=variant,
-                n=signal.grid.n,
-                seed=seed,
-                epsilon=out.epsilon,
-                tau=out.tau,
-                q_max=out.q_max,
-                converged=converged,
-            )
-        except (ValueError, ArithmeticError, np.linalg.LinAlgError) as exc:
-            # numeric failures are recorded and the sweep continues
-            return SweepCell(
-                t_max=t_max,
-                method=method,
-                variant=variant,
-                n=-1,
-                seed=seed,
-                epsilon=float("nan"),
-                tau=None,
-                q_max=None,
-                error=f"{type(exc).__name__}: {exc}",
-            )
-
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            cells = list(pool.map(run_cell, tasks))
-    else:
-        cells = [run_cell(t) for t in tasks]
-    order = {task: k for k, task in enumerate(tasks)}
-    cells.sort(key=lambda c: order[(c.t_max, c.variant, c.method, c.seed)])
-    return cells
 
 
 def _variant_name(config: ExperimentConfig) -> str:

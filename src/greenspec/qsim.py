@@ -111,12 +111,6 @@ class PauliHamiltonian:
             out += c * s.matrix()
         return out
 
-    def coefficient_map(self) -> dict[str, float]:
-        out: dict[str, float] = {}
-        for c, s in self.terms:
-            out[str(s)] = out.get(str(s), 0.0) + c
-        return out
-
 
 @dataclass(frozen=True)
 class StateVector:
@@ -327,7 +321,8 @@ def _ancilla_p0(psi: np.ndarray, basis: str) -> np.ndarray:
 
 def _shot_rng(seed: int, t: float, tag: int) -> np.random.Generator:
     # independent substream per (seed, time, observable); keyed on the exact
-    # float bits of t so parallel sweeps reproduce sequential runs
+    # float bits of t so a cell's draws do not depend on which cells ran
+    # before it
     t_bits = int(np.float64(t).view(np.uint64))
     return np.random.default_rng(np.random.SeedSequence((seed, t_bits, tag)))
 

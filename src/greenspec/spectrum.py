@@ -201,11 +201,6 @@ def build_rescale_map(
     )
 
 
-def dft_phase_shift(rmap: RescaleMap) -> float:
-    """Phase shift for reading frequencies in [-1/2, 1/2) instead of [0, 1)."""
-    return rmap.phi + 0.5
-
-
 def to_canonical(signal: TimeSignal, rmap: RescaleMap) -> TimeSignal:
     """Demodulate a physical signal onto the canonical integer grid.
 

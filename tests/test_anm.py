@@ -146,6 +146,11 @@ class TestAtomicDenoise:
         with pytest.raises(ValueError):
             atomic_denoise(y, AnmConfig(tau=0.1))
 
+    def test_tau_policy_rejected(self):
+        # the pipeline resolves "auto", "ladder" and "path"; the solver needs a number
+        with pytest.raises(ValueError, match="numeric tau"):
+            atomic_denoise(make_signal(8, [0.3], [1.0]), AnmConfig(tau="auto"))
+
     def test_objective_below_trivial_points(self):
         rng = np.random.default_rng(3)
         n = 24

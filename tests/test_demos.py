@@ -1,0 +1,25 @@
+"""The demo scripts run end to end against the current API.
+
+Demo 05 is left out: it runs a full window sweep (tens of seconds), and the
+acceptance sweeps cover the same path.
+"""
+
+import runpy
+from pathlib import Path
+
+import pytest
+
+DEMOS = Path(__file__).resolve().parent.parent / "demos"
+
+EXPECTED = {
+    "01_rescaling.py": "shift for [-1/2,1/2) readout",
+    "02_impurity_signal.py": "conditioned Hamiltonian terms",
+    "03_atomic_norm_denoising.py": "recovered lines",
+    "04_dft_baseline.py": "sub-window pair",
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXPECTED))
+def test_demo_runs(name, capsys):
+    runpy.run_path(str(DEMOS / name), run_name="__main__")
+    assert EXPECTED[name] in capsys.readouterr().out

@@ -196,13 +196,19 @@ class TestSweep:
         b = run_sweep(cfg, [0.3, 0.4], [0, 1], methods=("anm", "dft"))
         assert sweep_to_csv_rows(a) == sweep_to_csv_rows(b)
 
-    def test_worker_count_does_not_change_results(self):
+    def test_tiny_windows_converge(self):
+        # criterion 04 configuration at its two shortest windows (n = 2 and 3)
         cfg = ExperimentConfig(
-            signal=SignalConfig(evolver="trotter2", t_max=0.4, n=10, shots=2000), anm=FAST_ANM
+            signal=SignalConfig(evolver="trotter2", t_max=0.27, n=8),
+            anm=AnmConfig(tau="ladder"),
         )
-        seq = run_sweep(cfg, [0.3, 0.4], [0, 1], methods=("dft",), workers=1)
-        par = run_sweep(cfg, [0.3, 0.4], [0, 1], methods=("dft",), workers=4)
-        assert sweep_to_csv_rows(seq) == sweep_to_csv_rows(par)
+        with pytest.warns(UserWarning, match="separation guarantees"):
+            cells = run_sweep(cfg, [0.05, 0.1], [0], methods=("anm",))
+        assert [c.n for c in cells] == [2, 3]
+        for cell, eps in zip(cells, (1.3655, 0.1740)):
+            assert cell.error is None
+            assert cell.converged is True
+            assert cell.epsilon == pytest.approx(eps, rel=1e-3)
 
     def test_empty_grid_rejected(self):
         cfg = ExperimentConfig(signal=SignalConfig(t_max=0.3, n=8))

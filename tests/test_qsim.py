@@ -66,7 +66,7 @@ class TestPauliAlgebra:
 class TestBuildHamiltonians:
     def test_effective_coefficients(self):
         _, _, h_eff = build_hamiltonians(PARAMS)
-        assert h_eff.coefficient_map() == {
+        assert {str(s): c for c, s in h_eff.terms} == {
             "IZZ": 1.0,
             "IIX": 0.745,
             "IXI": 0.3725,

@@ -13,7 +13,6 @@ from greenspec.spectrum import (
     TimeSignal,
     add_noise,
     build_rescale_map,
-    dft_phase_shift,
     energy_bounds,
     from_canonical,
     signal_from_json,
@@ -80,12 +79,6 @@ class TestRescaleMap:
         for omega in np.linspace(-1.0, TWO_PI + 1.0, 7):
             f = rmap.frequency_to_canonical(omega)
             assert rmap.frequency_from_canonical(f) == pytest.approx(omega, abs=1e-12)
-
-    def test_dft_phase_shift(self):
-        rmap = build_rescale_map(-1.0, 1.0, 2)
-        assert dft_phase_shift(rmap) == pytest.approx(0.0, abs=1e-12)
-        rmap0 = build_rescale_map(0.25, 1.0, 2, delta_omega=0.5)
-        assert dft_phase_shift(rmap0) == pytest.approx(rmap0.phi + 0.5)
 
     def test_gap_needs_two_peaks(self):
         with pytest.raises(ValueError):
