@@ -222,7 +222,8 @@ def _admm(
         step *= rho
         big_l += step
 
-        if r_primal < config.primal_tol and r_dual < config.dual_tol:
+        residuals_ok = r_primal < config.primal_tol and r_dual < config.dual_tol
+        if residuals_ok:
             if fix_x:
                 break
             q_max = float(np.max(np.abs(np.fft.fft((y - x) / tau, _CERT_GRID))))
@@ -238,10 +239,8 @@ def _admm(
             elif r_dual > 10.0 * r_primal:
                 rho = max(rho * 0.5, 1e-6)
 
-    converged = r_primal < config.primal_tol and r_dual < config.dual_tol
-    if converged and not fix_x:
-        q_max = float(np.max(np.abs(np.fft.fft((y - x) / tau, _CERT_GRID))))
-        converged = q_max <= 1.0 + _CERT_SLACK
+    # q_max is set on every iteration whose residuals pass, the last included
+    converged = residuals_ok and (fix_x or q_max <= 1.0 + _CERT_SLACK)
     norm_value = 0.5 * (t + float(np.real(u[0])))
     objective = 0.5 * float(np.linalg.norm(y - x) ** 2) + tau * norm_value
     return DenoisedSolution(

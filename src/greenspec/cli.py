@@ -162,9 +162,10 @@ def cmd_sweep(args) -> int:
         fh.write("\n".join(pipeline.sweep_to_csv_rows(cells)) + "\n")
     meta = {"theory_threshold_t_max": pipeline.theory_threshold_t_max(config)}
     dump_json(meta, os.path.join(args.out, "sweep_meta.json"))
-    failures = [c for c in cells if c.error]
+    failed = sum(1 for c in cells if c.error)
+    unconverged = sum(1 for c in cells if c.converged is False)
     if not args.quiet:
-        print(f"wrote {csv_path} ({len(cells)} cells, {len(failures)} failed)")
+        print(f"wrote {csv_path} ({len(cells)} cells, {failed} failed, {unconverged} not converged)")
         print(f"theory-guaranteed window: t_max >= {meta['theory_threshold_t_max']:.4g}")
     return EXIT_OK
 

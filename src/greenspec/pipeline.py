@@ -110,18 +110,16 @@ def resolve_rescale_map(config: ExperimentConfig) -> RescaleMap:
 
 def _rescale_map(config: ExperimentConfig) -> RescaleMap:
     # needs no extent: a config without both t_max and n gets the unpadded map
-    omega_a, omega_b = _energy_window(config)
-    delta = config.rescale.delta_omega_override
     sig = config.signal
     if sig.t_max is not None and sig.n is not None:
         # oversampled grid: enlarge the padding so dt = span/(n-1) exactly
         if sig.n < 2:
             raise ValueError("oversampled grid needs n >= 2")
-        omega_max = (sig.n - 1) / (sig.t_max - sig.t0)
-        delta = 2.0 * math.pi * omega_max - (omega_b - omega_a)
-        if delta <= 0:
-            raise ValueError("n too small for the energy range at this t_max")
-    return build_rescale_map(omega_a, omega_b, config.rescale.k_min, sig.t0, delta)
+        return _map_with_bandwidth(config, (sig.n - 1) / (sig.t_max - sig.t0), sig.t0)
+    omega_a, omega_b = _energy_window(config)
+    return build_rescale_map(
+        omega_a, omega_b, config.rescale.k_min, sig.t0, config.rescale.delta_omega_override
+    )
 
 
 def rescale_map_for_grid(config: ExperimentConfig, grid: SamplingGrid) -> RescaleMap:
@@ -130,12 +128,16 @@ def rescale_map_for_grid(config: ExperimentConfig, grid: SamplingGrid) -> Rescal
     The bandwidth is pinned to 1/dt by enlarging the gap padding, so signals
     read back from files demodulate consistently whatever grid produced them.
     """
+    return _map_with_bandwidth(config, 1.0 / grid.dt, grid.t0)
+
+
+def _map_with_bandwidth(config: ExperimentConfig, omega_max: float, t0: float) -> RescaleMap:
+    # the gap padding that makes the padded energy window span 2 pi omega_max
     omega_a, omega_b = _energy_window(config)
-    omega_max = 1.0 / grid.dt
     delta = 2.0 * math.pi * omega_max - (omega_b - omega_a)
     if delta <= 0:
-        raise ValueError("grid too sparse for the configured energy range")
-    return build_rescale_map(omega_a, omega_b, config.rescale.k_min, grid.t0, delta)
+        raise ValueError("sample spacing too coarse for the configured energy range")
+    return build_rescale_map(omega_a, omega_b, config.rescale.k_min, t0, delta)
 
 
 def resolve_grid(config: ExperimentConfig, rmap: RescaleMap) -> SamplingGrid:
@@ -191,113 +193,94 @@ def noise_scale_estimate(config: ExperimentConfig) -> float:
     return math.sqrt(var)
 
 
-@dataclass(frozen=True)
-class AnmResult:
-    spectrum: LineSpectrum  # canonical domain
-    tau: float
-    q_max: float
-    solution: anm.DenoisedSolution
-
-
 def _peaks_and_fit(
     y: TimeSignal, sol: anm.DenoisedSolution, cfg: anm.AnmConfig
-) -> tuple[list[float], np.ndarray, float]:
+) -> tuple[float, tuple[Pole, ...]]:
+    """Misfit of the solve's fitted atoms against ``y``, and those atoms."""
     freqs = anm.locate_peaks(sol, cfg)
     if not freqs:
-        return [], np.zeros(0, dtype=complex), float(np.linalg.norm(y.samples))
+        return float(np.linalg.norm(y.samples)), ()
     try:
         coeffs = anm.recover_amplitudes(y, freqs)
     except ValueError:
-        return [], np.zeros(0, dtype=complex), float(np.linalg.norm(y.samples))
+        return float(np.linalg.norm(y.samples)), ()
     atoms = np.exp(2j * np.pi * np.outer(np.arange(y.grid.n), freqs))
     resid = float(np.linalg.norm(y.samples - atoms @ coeffs))
-    return freqs, coeffs, resid
+    return resid, tuple(Pole(c, f) for f, c in zip(freqs, coeffs))
 
 
 def anm_reconstruct_canonical(
     y: TimeSignal, cfg: anm.AnmConfig, sigma_est: float = 0.0
-) -> AnmResult:
+) -> tuple[LineSpectrum, anm.DenoisedSolution]:
     """Denoise, locate dual-polynomial peaks, and fit amplitudes.
 
     This is the one place the tau policies are resolved into the numbers
-    :func:`anm.atomic_denoise` needs.  Numeric ``cfg.tau`` and the "auto"
-    policy solve once ("auto" takes :func:`anm.select_tau` of the noise
-    estimate, floored at TAU_FLOOR_REL * ||y||).  The "ladder"
-    and "path" policies scan a geometric grid of regularization weights,
-    scoring each candidate by the least-squares misfit of its fitted atoms
-    against the data; "path" additionally sharpens the best bracket by
-    golden section.  Both are data-driven realizations of a "suitably
-    chosen" regularization weight and need no knowledge of the truth.
+    :func:`anm.atomic_denoise` needs, and the one place that decides which
+    solve is reported.  Every policy becomes a list of candidate weights
+    run through the same descend, select and refine loop.  A numeric
+    ``cfg.tau`` is its own single candidate, and "auto" is
+    :func:`anm.select_tau` of the noise estimate, floored at
+    TAU_FLOOR_REL * ||y||.  "ladder" and "path" scan a geometric grid of
+    weights (or fall back to "auto" when y = 0), scoring each candidate by
+    the least-squares misfit of its fitted atoms against the data; "path"
+    additionally sharpens the best bracket by golden section.  Both are
+    data-driven realizations of a "suitably chosen" regularization weight
+    and need no knowledge of the truth.
+
+    Returns the canonical spectrum and the chosen solve.
     """
     norm_y = float(np.linalg.norm(y.samples))
-    if isinstance(cfg.tau, str) and cfg.tau in ("path", "ladder") and norm_y > 0:
-        return _anm_tau_path(y, cfg, sigma_est, refine=cfg.tau == "path")
-    if isinstance(cfg.tau, str):
-        tau = max(anm.select_tau(sigma_est, y.grid.n), TAU_FLOOR_REL * norm_y)
-        cfg = replace(cfg, tau=tau)
-    sol = anm.atomic_denoise(y, cfg)
-    freqs, coeffs, _ = _peaks_and_fit(y, sol, cfg)
-    return _package_result(y, cfg, sol, freqs, coeffs)
+    scan = cfg.tau in ("ladder", "path") and norm_y > 0
+    if scan:
+        candidates = [rel * norm_y for rel in TAU_PATH_LADDER]
+        noise_tau = anm.select_tau(sigma_est, y.grid.n) if sigma_est > 0 else 0.0
+        if noise_tau > 0:
+            candidates = sorted(set(candidates) | {noise_tau, 2.0 * noise_tau})
+    elif isinstance(cfg.tau, str):
+        candidates = [max(anm.select_tau(sigma_est, y.grid.n), TAU_FLOOR_REL * norm_y)]
+    else:
+        candidates = [cfg.tau]
 
+    # memo of visited weights: tau -> (misfit, fitted poles, solve), in solve order
+    fits: dict[float, tuple[float, tuple[Pole, ...], anm.DenoisedSolution]] = {}
 
-def _package_result(y, cfg, sol, freqs, coeffs) -> AnmResult:
-    q_max = float(np.max(anm.dual_polynomial_grid(sol, cfg.resolve_grid(y.grid.n))))
-    poles = tuple(Pole(c, f) for f, c in zip(freqs, coeffs))
-    spectrum = LineSpectrum(tuple(sorted(poles, key=lambda p: p.frequency)), CANONICAL)
-    return AnmResult(spectrum=spectrum, tau=sol.tau, q_max=q_max, solution=sol)
-
-
-def _anm_tau_path(
-    y: TimeSignal, cfg: anm.AnmConfig, sigma_est: float, refine: bool
-) -> AnmResult:
-    norm_y = float(np.linalg.norm(y.samples))
-    ladder = [rel * norm_y for rel in TAU_PATH_LADDER]
-    noise_tau = anm.select_tau(sigma_est, y.grid.n) if sigma_est > 0 else 0.0
-    if noise_tau > 0:
-        ladder = sorted(set(ladder) | {noise_tau, 2.0 * noise_tau})
-
-    cache: dict[float, tuple] = {}
-    warm: list[anm.DenoisedSolution | None] = [None]
-
-    def evaluate(tau: float):
-        if tau in cache:
-            return cache[tau]
-        sol = anm.atomic_denoise(y, replace(cfg, tau=tau), warm=warm[0])
-        warm[0] = sol
-        freqs, coeffs, resid = _peaks_and_fit(y, sol, cfg)
-        cache[tau] = (resid, sol, freqs, coeffs)
-        return cache[tau]
+    def evaluate(tau: float) -> float:
+        if tau not in fits:
+            # warm start from the previous solve, the newest memo entry
+            warm = next(reversed(fits.values()))[2] if fits else None
+            sol = anm.atomic_denoise(y, replace(cfg, tau=tau), warm=warm)
+            fits[tau] = (*_peaks_and_fit(y, sol, cfg), sol)
+        return fits[tau][0]
 
     # descend the path: strongly regularized solves are cheap and make good
     # warm starts for the weakly regularized ones; stop once the fit turns
     # sour, since smaller weights only fragment the support further
     worse = 0
-    for tau in sorted(ladder, reverse=True):
-        resid = evaluate(tau)[0]
-        best_so_far = min(c[0] for c in cache.values())
+    for tau in sorted(candidates, reverse=True):
+        resid = evaluate(tau)
+        best_so_far = min(fit[0] for fit in fits.values())
         worse = worse + 1 if resid > 1.5 * best_so_far else 0
         if worse >= 2:
             break
-    ladder = [t for t in ladder if t in cache]
+    candidates = [t for t in candidates if t in fits]
 
     def select(taus) -> float:
         # discrepancy rule: any fit that reaches the noise floor is as good
         # as one below it, so among those keep the strongest regularization;
         # without noise this degenerates to (nearly) the best-fit candidate
-        best = min(cache[t][0] for t in taus)
+        best = min(fits[t][0] for t in taus)
         floor = max(1.1 * best, 1.1 * sigma_est * math.sqrt(y.grid.n))
-        return max(t for t in taus if cache[t][0] <= floor)
+        return max(t for t in taus if fits[t][0] <= floor)
 
-    tau_best = select(ladder)
-
-    if refine:
-        below = max([t for t in ladder if t < tau_best], default=tau_best / 2.0)
-        above = min([t for t in ladder if t > tau_best], default=tau_best * 2.0)
-        # golden section in log tau; every visited tau lands in the cache
-        _golden_min(lambda x: evaluate(math.exp(x))[0], math.log(below), math.log(above), 12)
-        tau_best = select(list(cache))
-    _, sol, freqs, coeffs = cache[tau_best]
-    return _package_result(y, cfg, sol, freqs, coeffs)
+    tau_best = select(candidates)
+    if scan and cfg.tau == "path":
+        below = max([t for t in candidates if t < tau_best], default=tau_best / 2.0)
+        above = min([t for t in candidates if t > tau_best], default=tau_best * 2.0)
+        # golden section in log tau; every visited tau lands in the memo
+        _golden_min(lambda x: evaluate(math.exp(x)), math.log(below), math.log(above), 12)
+        tau_best = select(list(fits))
+    _, poles, sol = fits[tau_best]
+    return LineSpectrum(poles, CANONICAL), sol
 
 
 @dataclass(frozen=True)
@@ -342,27 +325,20 @@ def reconstruct(
     rmap = rescale_map_for_grid(config, signal.grid)
     y = to_canonical(signal, rmap)
     truth = oracle_spectrum(config)
+    sol = tau = q_max = None
     if method == "anm":
-        result = anm_reconstruct_canonical(y, config.anm, noise_scale_estimate(config))
-        est = _project_physical(_prune_small(from_canonical(result.spectrum, rmap)))
-        report = metrics.match_poles(truth, est)
-        return ReconstructionOutput(
-            method="anm",
-            spectrum=est,
-            report=report,
-            epsilon=report.epsilon,
-            tau=result.tau,
-            q_max=result.q_max,
-            dual_solution=result.solution,
-        )
-    if method == "dft":
+        canon, sol = anm_reconstruct_canonical(y, config.anm, noise_scale_estimate(config))
+        tau = sol.tau
+        q_max = float(np.max(anm.dual_polynomial_grid(sol, config.anm.resolve_grid(y.grid.n))))
+    elif method == "dft":
         canon = dft.extract_peaks_clean(y, config.dft)
-        est = _project_physical(_prune_small(from_canonical(canon, rmap)))
-        report = metrics.match_poles(truth, est)
-        return ReconstructionOutput(
-            method="dft", spectrum=est, report=report, epsilon=report.epsilon
-        )
-    raise ValueError(f"unknown method {method!r}")
+    else:
+        raise ValueError(f"unknown method {method!r}")
+    est = _project_physical(_prune_small(from_canonical(canon, rmap)))
+    report = metrics.match_poles(truth, est)
+    return ReconstructionOutput(
+        method, est, report, report.epsilon, tau=tau, q_max=q_max, dual_solution=sol
+    )
 
 
 def theory_threshold_t_max(config: ExperimentConfig) -> float:

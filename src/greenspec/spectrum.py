@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -125,22 +124,24 @@ class RescaleMap:
     ``phi`` is the phase shift that rotates the window start to frequency 0.
     """
 
-    omega_max: float
-    phi: float
-    t0: float
-    delta_omega: float
     omega_a: float
     omega_b: float
+    delta_omega: float
+    t0: float
 
     def __post_init__(self) -> None:
-        if self.omega_max <= 0 or self.delta_omega <= 0:
-            raise ValueError("omega_max and delta_omega must be positive")
-        width = self.omega_b - self.omega_a + self.delta_omega
-        if abs(self.omega_max - width / _TWO_PI) > 1e-9 * max(1.0, abs(self.omega_max)):
-            raise ValueError("omega_max inconsistent with padded energy range")
-        phi_expected = (self.omega_a - self.delta_omega / 2.0) / (_TWO_PI * self.omega_max)
-        if abs(self.phi - phi_expected) > 1e-9 * max(1.0, abs(phi_expected)):
-            raise ValueError("phi inconsistent with padded energy range")
+        if self.omega_b <= self.omega_a:
+            raise ValueError("need omega_b > omega_a")
+        if self.delta_omega <= 0:
+            raise ValueError("delta_omega must be positive")
+
+    @property
+    def omega_max(self) -> float:
+        return (self.omega_b - self.omega_a + self.delta_omega) / _TWO_PI
+
+    @property
+    def phi(self) -> float:
+        return (self.omega_a - self.delta_omega / 2.0) / (_TWO_PI * self.omega_max)
 
     @property
     def dt(self) -> float:
@@ -181,24 +182,11 @@ def build_rescale_map(
     Passing ``delta_omega`` overrides the estimate; larger values pad the
     window further, which densifies the matching time grid.
     """
-    if omega_b <= omega_a:
-        raise ValueError("need omega_b > omega_a")
     if delta_omega is None:
         if n_peaks_min < 2:
             raise ValueError("gap estimate undefined for fewer than 2 peaks")
         delta_omega = (omega_b - omega_a) / (n_peaks_min - 1)
-    if delta_omega <= 0:
-        raise ValueError("delta_omega must be positive")
-    omega_max = (omega_b - omega_a + delta_omega) / _TWO_PI
-    phi = (omega_a - delta_omega / 2.0) / (_TWO_PI * omega_max)
-    return RescaleMap(
-        omega_max=omega_max,
-        phi=phi,
-        t0=t0,
-        delta_omega=delta_omega,
-        omega_a=omega_a,
-        omega_b=omega_b,
-    )
+    return RescaleMap(omega_a, omega_b, delta_omega, t0)
 
 
 def to_canonical(signal: TimeSignal, rmap: RescaleMap) -> TimeSignal:
@@ -321,13 +309,6 @@ def spectrum_to_json(spectrum: LineSpectrum) -> list[dict]:
         }
         for p in spectrum.poles
     ]
-
-
-def spectrum_from_json(data: Iterable[dict], domain: str = PHYSICAL) -> LineSpectrum:
-    poles = tuple(
-        Pole(complex(d["re"], d["im"]), float(d["freq"]), d.get("z")) for d in data
-    )
-    return LineSpectrum(poles, domain)
 
 
 def signal_to_json(signal: TimeSignal) -> dict:

@@ -178,6 +178,20 @@ class TestSweepCommand:
         variants = {r.split(",")[2] for r in rows[1:]}
         assert variants == {"exact_noiseless", "trotter2_noiseless"}
 
+    def test_summary_counts_unconverged_cells(self, tmp_path, capsys):
+        # a three-iteration budget cannot converge; the cell still gets an epsilon
+        cfg = write_config(
+            tmp_path / "cfg.json",
+            signal={"evolver": "exact", "t_max": 0.3, "n": 8, "seed": 0},
+            method={"anm": {"tau": 0.05, "max_iters": 3}, "dft": {}},
+        )
+        out = tmp_path / "u"
+        args = ["sweep", "--config", cfg, "--t-max", "0.3", "--method", "anm", "--out", str(out)]
+        assert main(args) == 0
+        assert "(1 cells, 0 failed, 1 not converged)" in capsys.readouterr().out
+        rows = (out / "sweep.csv").read_text().splitlines()
+        assert rows[1].split(",")[-1] != "nan"
+
     def test_without_config(self, tmp_path):
         # the default config sets no window; the theory threshold needs none
         out = tmp_path / "d"

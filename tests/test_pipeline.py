@@ -1,12 +1,16 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from greenspec import pipeline
-from greenspec.anm import AnmConfig
+from greenspec.anm import AnmConfig, select_tau
 from greenspec.pipeline import (
+    TAU_FLOOR_REL,
     ExperimentConfig,
     SignalConfig,
     RescaleConfig,
+    anm_reconstruct_canonical,
     theory_threshold_t_max,
     noise_scale_estimate,
     oracle_spectrum,
@@ -24,6 +28,15 @@ from greenspec.qsim import (
     green_general,
     green_sym,
     prepare_ground_state,
+)
+from greenspec.spectrum import (
+    CANONICAL,
+    LineSpectrum,
+    Pole,
+    SamplingGrid,
+    TimeSignal,
+    add_noise,
+    synthesize_signal,
 )
 
 
@@ -175,6 +188,28 @@ class TestReconstruct:
         signal = simulate_signal(cfg)
         with pytest.raises(ValueError):
             reconstruct(signal, cfg, "music")
+
+
+class TestTauPolicies:
+    @pytest.mark.parametrize("policy", [0.05, "auto", "ladder", "path"])
+    def test_zero_signal_gives_empty_spectrum(self, policy):
+        y = TimeSignal(SamplingGrid(t0=0.0, n=8, dt=1.0), np.zeros(8), CANONICAL)
+        spectrum, sol = anm_reconstruct_canonical(y, AnmConfig(tau=policy), sigma_est=0.01)
+        assert spectrum.poles == ()
+        assert sol.converged is True
+        assert sol.iterations == 0
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.05])
+    def test_auto_is_its_numeric_tau(self, sigma):
+        # sigma = 0 exercises the TAU_FLOOR_REL floor, sigma = 0.05 the noise rule
+        truth = LineSpectrum((Pole(1.0, 0.2), Pole(0.6, 0.55)), CANONICAL)
+        y = add_noise(synthesize_signal(truth, SamplingGrid(0.0, 16, 1.0)), sigma, seed=3)
+        tau = max(select_tau(sigma, 16), TAU_FLOOR_REL * float(np.linalg.norm(y.samples)))
+        cfg = AnmConfig(primal_tol=3e-6, dual_tol=3e-6)
+        _, auto = anm_reconstruct_canonical(y, replace(cfg, tau="auto"), sigma)
+        _, fixed = anm_reconstruct_canonical(y, replace(cfg, tau=tau), sigma)
+        assert auto.tau.hex() == fixed.tau.hex()
+        assert auto.x_hat.tobytes() == fixed.x_hat.tobytes()
 
 
 class TestSweep:

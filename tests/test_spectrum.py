@@ -17,7 +17,6 @@ from greenspec.spectrum import (
     from_canonical,
     signal_from_json,
     signal_to_json,
-    spectrum_from_json,
     spectrum_to_json,
     synthesize_signal,
     to_canonical,
@@ -262,9 +261,7 @@ class TestJson:
         spec = LineSpectrum((Pole(0.5 + 0.25j, 1.25, 0.1), Pole(0.5, -1.0)), PHYSICAL)
         data = spectrum_to_json(spec)
         assert data[0] == {"re": 0.5, "im": 0.25, "freq": 1.25, "z": 0.1}
-        assert data[1]["z"] is None
-        back = spectrum_from_json(json.loads(json.dumps(data)))
-        assert back.poles == spec.poles
+        assert data[1] == {"re": 0.5, "im": 0.0, "freq": -1.0, "z": None}
 
     def test_signal_round_trip(self):
         grid = SamplingGrid(t0=0.1, n=3, dt=0.5)
