@@ -265,9 +265,11 @@ def anm_reconstruct_canonical(
     candidates = [t for t in candidates if t in fits]
 
     def select(taus) -> float:
-        # discrepancy rule: any fit that reaches the noise floor is as good
+        # converged solves first; the rest only count when none converged.
+        # Discrepancy rule: any fit that reaches the noise floor is as good
         # as one below it, so among those keep the strongest regularization;
         # without noise this degenerates to (nearly) the best-fit candidate
+        taus = [t for t in taus if fits[t][2].converged] or list(taus)
         best = min(fits[t][0] for t in taus)
         floor = max(1.1 * best, 1.1 * sigma_est * math.sqrt(y.grid.n))
         return max(t for t in taus if fits[t][0] <= floor)

@@ -181,6 +181,30 @@ class TestAtomicDenoise:
             assert atomic_norm(x_hat) <= atomic_norm(y) * (1 + 1e-3)
 
 
+def relative_duality_gap(y: TimeSignal, sol) -> float:
+    # the dual vector scaled into the dual-norm ball gives a feasible point
+    # of max_z tau Re<z, y> - tau^2 ||z||^2 / 2 s.t. sup_f |<a(f), z>| <= 1
+    z = sol.dual / max(1.0, float(np.max(dual_polynomial_grid(sol, 65536))))
+    dual_value = sol.tau * np.real(np.vdot(z, y.samples)) - 0.5 * sol.tau**2 * np.vdot(z, z).real
+    return abs(sol.objective - dual_value) / sol.objective
+
+
+class TestDualityGap:
+    @pytest.mark.filterwarnings("ignore:n = .*separation guarantees")
+    @pytest.mark.parametrize("warm", (False, True))
+    @pytest.mark.parametrize("n", (2, 3, 8, 24, 47))
+    def test_default_tolerance_closes_gap(self, n, warm):
+        rng = np.random.default_rng(900 + n)
+        samples = atoms(n, rng.uniform(0, 1, 3)) @ random_complex(rng, 3)
+        samples = samples + 0.05 * random_complex(rng, n)
+        y = TimeSignal(SamplingGrid(0.0, n, 1.0), samples, CANONICAL)
+        tau = 0.05 * float(np.linalg.norm(samples))
+        prior = atomic_denoise(y, AnmConfig(tau=2.0 * tau)) if warm else None
+        sol = atomic_denoise(y, AnmConfig(tau=tau), warm=prior)
+        assert sol.converged
+        assert relative_duality_gap(y, sol) <= 1e-6
+
+
 class TestDualPolynomial:
     def test_huge_tau_zeroes_dual(self):
         y = make_signal(12, [0.3], [1.0])

@@ -7,6 +7,7 @@ from greenspec import pipeline
 from greenspec.anm import AnmConfig, select_tau
 from greenspec.pipeline import (
     TAU_FLOOR_REL,
+    TAU_PATH_LADDER,
     ExperimentConfig,
     SignalConfig,
     RescaleConfig,
@@ -211,6 +212,28 @@ class TestTauPolicies:
         assert auto.tau.hex() == fixed.tau.hex()
         assert auto.x_hat.tobytes() == fixed.x_hat.tobytes()
 
+    def test_ladder_skips_unconverged_candidate(self, monkeypatch):
+        # the second ladder weight is made unconverged with the lowest misfit;
+        # the selection must still report a converged solve
+        truth = LineSpectrum((Pole(1.0, 0.2), Pole(0.6, 0.55)), CANONICAL)
+        y = synthesize_signal(truth, SamplingGrid(0.0, 16, 1.0))
+        target = sorted(rel * float(np.linalg.norm(y.samples)) for rel in TAU_PATH_LADDER)[-2]
+        denoise, peaks_and_fit = pipeline.anm.atomic_denoise, pipeline._peaks_and_fit
+
+        def unconverged(y, cfg, warm=None):
+            sol = denoise(y, cfg, warm=warm)
+            return replace(sol, converged=False) if sol.tau == target else sol
+
+        def lowest_misfit(y, sol, cfg):
+            resid, poles = peaks_and_fit(y, sol, cfg)
+            return (0.0 if sol.tau == target else resid), poles
+
+        monkeypatch.setattr(pipeline.anm, "atomic_denoise", unconverged)
+        monkeypatch.setattr(pipeline, "_peaks_and_fit", lowest_misfit)
+        _, sol = anm_reconstruct_canonical(y, AnmConfig(tau="ladder"))
+        assert sol.tau != target
+        assert sol.converged is True
+
 
 class TestSweep:
     def test_single_cell_matches_reconstruct(self):
@@ -240,10 +263,23 @@ class TestSweep:
         with pytest.warns(UserWarning, match="separation guarantees"):
             cells = run_sweep(cfg, [0.05, 0.1], [0], methods=("anm",))
         assert [c.n for c in cells] == [2, 3]
-        for cell, eps in zip(cells, (1.3655, 0.1740)):
+        for cell, eps in zip(cells, (1.3655, 0.0920)):
             assert cell.error is None
             assert cell.converged is True
             assert cell.epsilon == pytest.approx(eps, rel=1e-3)
+
+    def test_longest_window_converges(self):
+        # criterion 04 configuration at t_max = 1.5 (n = 39), whose ladder
+        # once ended on a solve stopped by the iteration cap
+        cfg = ExperimentConfig(
+            signal=SignalConfig(evolver="trotter2", t_max=0.27, n=8),
+            anm=AnmConfig(tau="ladder"),
+        )
+        (cell,) = run_sweep(cfg, [1.5], [0], methods=("anm",))
+        assert cell.n == 39
+        assert cell.error is None
+        assert cell.converged is True
+        assert cell.q_max <= 1.0 + 5e-4
 
     def test_empty_grid_rejected(self):
         cfg = ExperimentConfig(signal=SignalConfig(t_max=0.3, n=8))
