@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
-"""Atomic-norm denoising and dual-polynomial frequency localization.
+"""Atomic-norm denoising and super-resolved frequency localization.
 
 Takes a noisy two-line canonical signal that a padded DFT cannot resolve,
-denoises it with the semidefinite program, and reads the line positions off
-the peaks of the dual polynomial.  The frequencies land far inside a DFT
-bin: this is the super-resolution effect.
+denoises it with the semidefinite program, checks the dual-polynomial
+certificate, and reads the line positions off the Vandermonde decomposition
+of the solution's Toeplitz matrix T(u).  The frequencies land far inside a
+DFT bin: this is the super-resolution effect.
 """
 
 import numpy as np
@@ -46,7 +47,7 @@ print(
 q_grid = dual_polynomial_grid(solution, 1 << 13)
 print(f"max |Q| on a fine grid: {q_grid.max():.6f}")
 
-peaks = locate_peaks(solution, config)
+peaks = locate_peaks(solution)
 amplitudes = recover_amplitudes(y, peaks)
 print("\nrecovered lines:")
 for f, c in zip(peaks, amplitudes):

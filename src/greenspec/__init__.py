@@ -11,7 +11,6 @@ from .anm import (
     DenoisedSolution,
     atomic_denoise,
     atomic_norm,
-    dual_polynomial,
     dual_polynomial_grid,
     locate_peaks,
     recover_amplitudes,

@@ -23,10 +23,13 @@ the last five residual differences, as SCS 3.0 does for its ADMM.  The stop
 tests always run on the plain step; the memory restarts whenever rho changes
 or the residual grows past twice its best since the last restart.
 
-Frequencies are read off the dual polynomial Q(f) = |<a(f), (y - x_hat)/tau>|,
-which is bounded by one and touches it at the support of the solution's
-atomic decomposition; amplitudes then come from least squares against the
-raw measurements.
+Frequencies are read off the primal certificate T(u) by its Vandermonde
+(Caratheodory) decomposition T(u) = sum_k c_k a(f_k) a(f_k)^H (Tang, Bhaskar,
+Shah & Recht, IEEE TIT 2013): the rank of T(u) counts the atoms, and a null
+vector of its leading block is a polynomial whose roots sit at the atoms'
+frequencies.  Amplitudes then come from least squares against the raw
+measurements.  The dual polynomial Q(f) = |<a(f), (y - x_hat)/tau>|, bounded
+by one on the support, serves as the optimality certificate.
 """
 
 from __future__ import annotations
@@ -39,18 +42,17 @@ from functools import lru_cache
 import numpy as np
 from scipy.linalg.lapack import dposv
 
-from .spectrum import TimeSignal, _golden_min
+from .spectrum import TimeSignal
 
 
 @dataclass(frozen=True)
 class AnmConfig:
-    """Solver and peak-extraction settings.
+    """Solver settings.
 
     ``tau`` is the regularization weight: a number, or one of the policies
     "auto", "ladder" and "path", which the pipeline resolves to numbers
     (see :func:`greenspec.pipeline.anm_reconstruct_canonical`);
-    :func:`atomic_denoise` itself needs a number.  ``grid_points`` of None
-    resolves to max(4096, 64 n) at solve time.
+    :func:`atomic_denoise` itself needs a number.
 
     The residual tolerances default to 1e-10, in units of ||y||.  The
     pipeline's tau selection compares misfits within 10%, so a looser solve
@@ -64,9 +66,6 @@ class AnmConfig:
     max_iters: int = 10000
     primal_tol: float = 1e-10
     dual_tol: float = 1e-10
-    grid_points: int | None = None
-    peak_threshold: float = 0.99
-    refine_iters: int = 50
 
     def __post_init__(self) -> None:
         if isinstance(self.tau, str):
@@ -74,13 +73,8 @@ class AnmConfig:
                 raise ValueError("tau must be a number, 'auto', 'path', or 'ladder'")
         elif self.tau <= 0:
             raise ValueError("tau must be positive")
-        if not 0.0 < self.peak_threshold < 1.0:
-            raise ValueError("peak_threshold must lie in (0, 1)")
-        if self.refine_iters < 1 or self.max_iters < 1:
-            raise ValueError("iteration counts must be positive")
-
-    def resolve_grid(self, n: int) -> int:
-        return self.grid_points if self.grid_points is not None else max(4096, 64 * n)
+        if self.max_iters < 1:
+            raise ValueError("max_iters must be positive")
 
 
 @dataclass(frozen=True)
@@ -148,6 +142,11 @@ def _toeplitz_index(n: int) -> np.ndarray:
     return (n - 1) + i - j
 
 
+def _toeplitz(u: np.ndarray) -> np.ndarray:
+    """The Hermitian Toeplitz matrix T(u) with first column u."""
+    return np.concatenate((np.conj(u[:0:-1]), u))[_toeplitz_index(len(u))]
+
+
 def _diag_sums(m: np.ndarray, n: int) -> np.ndarray:
     """Sums over each subdiagonal of an n x n block (offset 0..n-1)."""
     offsets, flat = _offset_index(n)
@@ -158,7 +157,7 @@ def _diag_sums(m: np.ndarray, n: int) -> np.ndarray:
 def _assemble(u: np.ndarray, x: np.ndarray, t: float, q: np.ndarray) -> np.ndarray:
     """Write [[T(u), x], [x*, t]] into the (n+1) x (n+1) buffer ``q``."""
     n = len(u)
-    q[:n, :n] = np.concatenate((np.conj(u[:0:-1]), u))[_toeplitz_index(n)]
+    q[:n, :n] = _toeplitz(u)
     q[:n, n] = x
     q[n, :n] = np.conj(x)
     q[n, n] = t
@@ -395,14 +394,13 @@ def atomic_norm(x: TimeSignal, config: AnmConfig | None = None) -> float:
     return sol.atomic_norm_value * scale
 
 
-def dual_polynomial(solution: DenoisedSolution, f: float) -> float:
-    """|<a(f), dual>| at a single frequency."""
-    j = np.arange(len(solution.dual))
-    return float(np.abs(np.sum(solution.dual * np.exp(-2j * np.pi * f * j))))
+def dual_polynomial_grid(solution: DenoisedSolution, grid_points: int | None = None) -> np.ndarray:
+    """|Q| on a uniform frequency grid k/grid_points, evaluated by FFT.
 
-
-def dual_polynomial_grid(solution: DenoisedSolution, grid_points: int) -> np.ndarray:
-    """|Q| on a uniform frequency grid k/grid_points, evaluated by FFT."""
+    The default grid has max(4096, 64 n) points.
+    """
+    if grid_points is None:
+        grid_points = max(4096, 64 * len(solution.dual))
     return np.abs(np.fft.fft(solution.dual, grid_points))
 
 
@@ -411,35 +409,37 @@ def _wrap_distance(f1: float, f2: float) -> float:
     return min(d, 1.0 - d)
 
 
-def locate_peaks(solution: DenoisedSolution, config: AnmConfig) -> list[float]:
-    """Frequencies of the dual-polynomial peaks at or above the threshold.
+# eigenvalues of T(u) at or below this share of max(lambda_max, sqrt(n) ||y||)
+# count as zero; sqrt(n) ||y|| is lambda_max of an unshrunk one-atom T(u), so
+# a solve shrunk to nothing has rank zero.  At the default tolerances the
+# sweeps of criteria 03-05 leave solver noise at most 2.8e-11 of that scale
+# and no atom below 3.9e-8
+_RANK_CUT = 1e-8
 
-    Scans a uniform grid, keeps wraparound-local maxima with |Q| at or above
-    ``peak_threshold``, sharpens each by golden-section ascent within one
-    grid cell, and merges refined peaks closer than a quarter grid step.
-    An empty list is a valid outcome (over-regularized or pure noise).
+
+def locate_peaks(solution: DenoisedSolution) -> list[float]:
+    """Frequencies of the atoms in the Vandermonde decomposition of T(u).
+
+    The rank r of T(u) is the number of atoms.  A null vector h of the
+    leading (r+1) x (r+1) block is orthogonal to every atom, so the
+    polynomial sum_j h_j z^j vanishes at z = exp(-2 pi i f_k).  When T(u)
+    has full rank (a solve stopped short of the optimum), the eigenvector of
+    its smallest eigenvalue stands in for h.  Returns the distinct
+    frequencies in [0, 1), sorted; an empty list is a valid outcome
+    (over-regularized or pure noise).
     """
-    n = len(solution.dual)
-    grid = config.resolve_grid(n)
-    qg = dual_polynomial_grid(solution, grid)
-    left = np.roll(qg, 1)
-    right = np.roll(qg, -1)
-    candidates = np.nonzero((qg >= config.peak_threshold) & (qg >= left) & (qg > right))[0]
-    refined: list[tuple[float, float]] = []
-    for k in candidates:
-        f = _golden_min(
-            lambda f: -dual_polynomial(solution, f),
-            (k - 1.0) / grid,
-            (k + 1.0) / grid,
-            config.refine_iters,
-        )
-        refined.append((f % 1.0, dual_polynomial(solution, f)))
-    refined.sort(key=lambda fq: -fq[1])
-    kept: list[tuple[float, float]] = []
-    for f, qv in refined:
-        if all(_wrap_distance(f, g) >= 1.0 / (4.0 * grid) for g, _ in kept):
-            kept.append((f, qv))
-    return sorted(f for f, _ in kept)
+    u = solution.toeplitz_vec
+    n = len(u)
+    t_u = _toeplitz(u)
+    w, v = np.linalg.eigh(t_u)
+    y_norm = float(np.linalg.norm(solution.x_hat + solution.tau * solution.dual))
+    r = int(np.count_nonzero(w > _RANK_CUT * max(w[-1], math.sqrt(n) * y_norm)))
+    if r == 0:
+        return []
+    h = v[:, 0] if r == n else np.linalg.eigh(t_u[: r + 1, : r + 1])[1][:, 0]
+    freqs = (-np.angle(np.roots(h[::-1])) / (2.0 * np.pi)) % 1.0
+    freqs[freqs == 1.0] = 0.0  # a tiny negative angle rounds up to 1
+    return sorted(set(freqs.tolist()))
 
 
 def recover_amplitudes(y: TimeSignal, freqs: list[float]) -> np.ndarray:
@@ -457,8 +457,8 @@ def recover_amplitudes(y: TimeSignal, freqs: list[float]) -> np.ndarray:
     if len(freqs) > n:
         raise ValueError("more frequencies than samples")
     v = np.exp(2j * np.pi * np.outer(np.arange(n), freqs))
-    rank = np.linalg.matrix_rank(v, tol=1e-10 * n)
-    if rank < len(freqs):
+    coeffs, _, _, singular = np.linalg.lstsq(v, samples, rcond=None)
+    if np.count_nonzero(singular > 1e-10 * n) < len(freqs):
         worst = min(
             ((f1, f2) for i, f1 in enumerate(freqs) for f2 in freqs[i + 1 :]),
             key=lambda p: _wrap_distance(p[0], p[1]),
@@ -467,5 +467,4 @@ def recover_amplitudes(y: TimeSignal, freqs: list[float]) -> np.ndarray:
             f"atom matrix is rank deficient; frequencies {worst[0]} and {worst[1]} "
             "are too close to separate"
         )
-    coeffs, *_ = np.linalg.lstsq(v, samples, rcond=None)
     return coeffs

@@ -133,8 +133,8 @@ def cmd_reconstruct(args) -> int:
             }
         dump_json(report, os.path.join(args.out, f"report_{method}.json"))
         if method == "anm" and out.dual_solution is not None:
-            grid = config.anm.resolve_grid(signal.grid.n)
-            qvals = anm.dual_polynomial_grid(out.dual_solution, grid)
+            qvals = anm.dual_polynomial_grid(out.dual_solution)
+            grid = len(qvals)
             path = os.path.join(args.out, "dual_polynomial.csv")
             with open(path, "w") as fh:
                 fh.write("f,q\n")

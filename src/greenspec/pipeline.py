@@ -193,11 +193,9 @@ def noise_scale_estimate(config: ExperimentConfig) -> float:
     return math.sqrt(var)
 
 
-def _peaks_and_fit(
-    y: TimeSignal, sol: anm.DenoisedSolution, cfg: anm.AnmConfig
-) -> tuple[float, tuple[Pole, ...]]:
+def _peaks_and_fit(y: TimeSignal, sol: anm.DenoisedSolution) -> tuple[float, tuple[Pole, ...]]:
     """Misfit of the solve's fitted atoms against ``y``, and those atoms."""
-    freqs = anm.locate_peaks(sol, cfg)
+    freqs = anm.locate_peaks(sol)
     if not freqs:
         return float(np.linalg.norm(y.samples)), ()
     try:
@@ -212,7 +210,7 @@ def _peaks_and_fit(
 def anm_reconstruct_canonical(
     y: TimeSignal, cfg: anm.AnmConfig, sigma_est: float = 0.0
 ) -> tuple[LineSpectrum, anm.DenoisedSolution]:
-    """Denoise, locate dual-polynomial peaks, and fit amplitudes.
+    """Denoise, locate the atoms of T(u), and fit amplitudes.
 
     This is the one place the tau policies are resolved into the numbers
     :func:`anm.atomic_denoise` needs, and the one place that decides which
@@ -249,7 +247,7 @@ def anm_reconstruct_canonical(
             # warm start from the previous solve, the newest memo entry
             warm = next(reversed(fits.values()))[2] if fits else None
             sol = anm.atomic_denoise(y, replace(cfg, tau=tau), warm=warm)
-            fits[tau] = (*_peaks_and_fit(y, sol, cfg), sol)
+            fits[tau] = (*_peaks_and_fit(y, sol), sol)
         return fits[tau][0]
 
     # descend the path: strongly regularized solves are cheap and make good
@@ -331,7 +329,7 @@ def reconstruct(
     if method == "anm":
         canon, sol = anm_reconstruct_canonical(y, config.anm, noise_scale_estimate(config))
         tau = sol.tau
-        q_max = float(np.max(anm.dual_polynomial_grid(sol, config.anm.resolve_grid(y.grid.n))))
+        q_max = float(np.max(anm.dual_polynomial_grid(sol)))
     elif method == "dft":
         canon = dft.extract_peaks_clean(y, config.dft)
     else:

@@ -334,7 +334,7 @@ def test_criterion_10_sample_complexity_property(noiseless_run, capsys):
         noise = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * sigma / np.sqrt(2)
         y = TimeSignal(SamplingGrid(0.0, n, 1.0), x + noise, CANONICAL)
         cfg = AnmConfig(tau=select_tau(sigma, n), primal_tol=1e-6, dual_tol=1e-6, max_iters=5000)
-        peaks = locate_peaks(atomic_denoise(y, cfg), cfg)
+        peaks = locate_peaks(atomic_denoise(y, cfg))
         return all(any(wrap(p, f) < df / 4 for p in peaks) for f in (f1, f2))
 
     start = time.perf_counter()

@@ -224,8 +224,8 @@ class TestTauPolicies:
             sol = denoise(y, cfg, warm=warm)
             return replace(sol, converged=False) if sol.tau == target else sol
 
-        def lowest_misfit(y, sol, cfg):
-            resid, poles = peaks_and_fit(y, sol, cfg)
+        def lowest_misfit(y, sol):
+            resid, poles = peaks_and_fit(y, sol)
             return (0.0 if sol.tau == target else resid), poles
 
         monkeypatch.setattr(pipeline.anm, "atomic_denoise", unconverged)
