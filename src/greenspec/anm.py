@@ -42,7 +42,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.linalg.lapack import dposv
 
-from .spectrum import TimeSignal
+from .spectrum import TimeSignal, _wrap_distance
 
 
 @dataclass(frozen=True)
@@ -54,18 +54,16 @@ class AnmConfig:
     (see :func:`greenspec.pipeline.anm_reconstruct_canonical`);
     :func:`atomic_denoise` itself needs a number.
 
-    The residual tolerances default to 1e-10, in units of ||y||.  The
-    pipeline's tau selection compares misfits within 10%, so a looser solve
-    can pick a different tau depending on where inside the tolerance it
-    stopped; from 1e-10 on, the chosen tau and the reported error no longer
-    depend on the solver.
+    ``tol`` bounds both residuals, in units of ||y||, and defaults to 1e-10.
+    The pipeline's tau selection compares misfits within 10%, so a looser
+    solve can pick a different tau depending on where inside the tolerance
+    it stopped; from 1e-10 on, the chosen tau and the reported error no
+    longer depend on the solver.  ``max_iters`` caps one solve's iterations.
     """
 
     tau: float | str = "auto"
-    admm_rho: float = 2.0
     max_iters: int = 10000
-    primal_tol: float = 1e-10
-    dual_tol: float = 1e-10
+    tol: float = 1e-10
 
     def __post_init__(self) -> None:
         if isinstance(self.tau, str):
@@ -75,6 +73,8 @@ class AnmConfig:
             raise ValueError("tau must be positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be positive")
+        if not 0.0 < self.tol < math.inf:
+            raise ValueError("tol must be a positive finite number")
 
 
 @dataclass(frozen=True)
@@ -82,16 +82,15 @@ class DenoisedSolution:
     """Output of :func:`atomic_denoise`.
 
     ``dual`` is (y - x_hat)/tau, the vector whose correlation with the atoms
-    gives the dual polynomial.  ``toeplitz_vec`` and ``t_scalar`` are the
-    certificate variables of the SDP; ``converged`` is False when the
-    iteration budget ran out before both residuals met their tolerances
-    with the dual polynomial inside its unit bound.
+    gives the dual polynomial, and ``toeplitz_vec`` the first column u of
+    the primal T(u).  The residuals, in units of ||y||, are the final plain
+    step's; ``converged`` is False when the iteration budget ran out before
+    both met the tolerance with the dual polynomial inside its unit bound.
     """
 
     x_hat: np.ndarray
     dual: np.ndarray
     toeplitz_vec: np.ndarray
-    t_scalar: float
     tau: float
     iterations: int
     primal_residual: float
@@ -178,6 +177,8 @@ def _psd_project(s: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 _CERT_GRID = 8192
 _CERT_SLACK = 5e-4
 
+_RHO = 2.0  # initial ADMM penalty; rebalanced every 25 iterations
+
 # type-II Anderson acceleration of the plain ADMM step: the number of past
 # differences kept, and the ridge on their Gram system relative to its trace
 _AA_MEMORY = 5
@@ -215,7 +216,7 @@ def _admm(
     big_z, big_u = w
     x = y.copy()
     if warm is not None and warm.z_state is not None and warm.z_state.shape == (n + 1, n + 1):
-        rho = warm.rho_state or config.admm_rho
+        rho = warm.rho_state
         big_z[...] = warm.z_state
         np.divide(warm.lambda_state, rho, out=big_u)
     else:
@@ -224,7 +225,7 @@ def _admm(
         u[0] = np.real(u[0])
         _psd_project(_assemble(u, x, float(np.linalg.norm(y)), q), out=big_z)
         big_u[...] = 0.0
-        rho = config.admm_rho
+        rho = _RHO
 
     half = size // 2
     stored = -1  # differences stored since the memory restarted; -1 forces a restart
@@ -249,7 +250,7 @@ def _admm(
         r_primal = math.sqrt(f_u.dot(f_u))
         r_dual = rho * math.sqrt(f_z.dot(f_z))
 
-        if r_primal < config.primal_tol and r_dual < config.dual_tol:
+        if r_primal < config.tol and r_dual < config.tol:
             if fix_x:
                 converged = True
                 break
@@ -308,7 +309,6 @@ def _admm(
         x_hat=x,
         dual=(y - x) / tau,
         toeplitz_vec=u,
-        t_scalar=t,
         tau=tau,
         iterations=it,
         primal_residual=r_primal,
@@ -357,7 +357,6 @@ def atomic_denoise(
             x_hat=zeros,
             dual=zeros.copy(),
             toeplitz_vec=zeros.copy(),
-            t_scalar=0.0,
             tau=tau,
             iterations=0,
             primal_residual=0.0,
@@ -372,7 +371,6 @@ def atomic_denoise(
         x_hat=sol.x_hat * scale,
         dual=sol.dual,  # (y - x)/tau is scale invariant
         toeplitz_vec=sol.toeplitz_vec * scale,
-        t_scalar=sol.t_scalar * scale,
         tau=tau,
         objective=sol.objective * scale**2,
         atomic_norm_value=sol.atomic_norm_value * scale,
@@ -404,16 +402,11 @@ def dual_polynomial_grid(solution: DenoisedSolution, grid_points: int | None = N
     return np.abs(np.fft.fft(solution.dual, grid_points))
 
 
-def _wrap_distance(f1: float, f2: float) -> float:
-    d = abs(f1 - f2) % 1.0
-    return min(d, 1.0 - d)
-
-
-# eigenvalues of T(u) at or below this share of max(lambda_max, sqrt(n) ||y||)
-# count as zero; sqrt(n) ||y|| is lambda_max of an unshrunk one-atom T(u), so
-# a solve shrunk to nothing has rank zero.  At the default tolerances the
-# sweeps of criteria 03-05 leave solver noise at most 2.8e-11 of that scale
-# and no atom below 3.9e-8
+# eigenvalues of T(u) at or below this share (or the solve's larger residual,
+# which sets its solver noise) of max(lambda_max, sqrt(n) ||y||) count as zero;
+# sqrt(n) ||y|| is lambda_max of an unshrunk one-atom T(u), so a solve shrunk
+# to nothing has rank zero.  At the default tolerance the sweeps of criteria
+# 03-05 leave solver noise at most 2.8e-11 of that scale and no atom below 3.9e-8
 _RANK_CUT = 1e-8
 
 
@@ -431,12 +424,13 @@ def locate_peaks(solution: DenoisedSolution) -> list[float]:
     u = solution.toeplitz_vec
     n = len(u)
     t_u = _toeplitz(u)
-    w, v = np.linalg.eigh(t_u)
+    w = np.linalg.eigvalsh(t_u)
     y_norm = float(np.linalg.norm(solution.x_hat + solution.tau * solution.dual))
-    r = int(np.count_nonzero(w > _RANK_CUT * max(w[-1], math.sqrt(n) * y_norm)))
+    cut = max(_RANK_CUT, solution.primal_residual, solution.dual_residual)
+    r = int(np.count_nonzero(w > cut * max(w[-1], math.sqrt(n) * y_norm)))
     if r == 0:
         return []
-    h = v[:, 0] if r == n else np.linalg.eigh(t_u[: r + 1, : r + 1])[1][:, 0]
+    h = np.linalg.eigh(t_u[: r + 1, : r + 1])[1][:, 0]  # all of T(u) when r = n
     freqs = (-np.angle(np.roots(h[::-1])) / (2.0 * np.pi)) % 1.0
     freqs[freqs == 1.0] = 0.0  # a tiny negative angle rounds up to 1
     return sorted(set(freqs.tolist()))

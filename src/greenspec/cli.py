@@ -118,12 +118,10 @@ def cmd_reconstruct(args) -> int:
         )
         report = out.report.to_json()
         report["method"] = method
-        if out.tau is not None:
-            report["tau"] = out.tau
-        if out.q_max is not None:
+        sol = out.dual_solution
+        if sol is not None:
+            report["tau"] = sol.tau
             report["q_max"] = out.q_max
-        if out.dual_solution is not None:
-            sol = out.dual_solution
             report["solver"] = {
                 "iterations": sol.iterations,
                 "primal_residual": sol.primal_residual,
@@ -132,8 +130,8 @@ def cmd_reconstruct(args) -> int:
                 "converged": sol.converged,
             }
         dump_json(report, os.path.join(args.out, f"report_{method}.json"))
-        if method == "anm" and out.dual_solution is not None:
-            qvals = anm.dual_polynomial_grid(out.dual_solution)
+        if sol is not None:
+            qvals = anm.dual_polynomial_grid(sol)
             grid = len(qvals)
             path = os.path.join(args.out, "dual_polynomial.csv")
             with open(path, "w") as fh:

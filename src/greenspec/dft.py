@@ -15,24 +15,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectrum import CANONICAL, LineSpectrum, Pole, TimeSignal, _golden_min
+from .spectrum import CANONICAL, LineSpectrum, Pole, TimeSignal, _golden_min, _wrap_distance
+
+_FIT_HALFWIDTH = 3  # bins on either side of the argmax that a peak's kernel is fitted to
+_REFIT_ROUNDS = 6  # coordinate re-fit sweeps after the greedy pass
 
 
 @dataclass(frozen=True)
 class DftConfig:
-    """Padding, stopping, and local-fit settings for the peak extractor.
+    """Padding and stopping settings for the peak extractor.
 
-    ``refit_rounds`` coordinate sweeps re-fit each extracted peak against the
-    residual with its own component restored; they remove the sidelobe
-    contamination the greedy pass leaves behind (and make well-separated
-    on-grid lines exact).
+    The samples are zero-padded to ``pad_factor`` times their length; at
+    most ``max_peaks`` peaks are extracted, and extraction stops once the
+    strongest remaining bin falls below ``stop_fraction`` of the first.
     """
 
     pad_factor: int = 16
     max_peaks: int = 8
     stop_fraction: float = 0.05
-    fit_halfwidth: int = 3
-    refit_rounds: int = 6
 
     def __post_init__(self) -> None:
         if self.pad_factor < 1:
@@ -41,10 +41,6 @@ class DftConfig:
             raise ValueError("max_peaks must be >= 1")
         if not 0.0 < self.stop_fraction < 1.0:
             raise ValueError("stop_fraction must lie in (0, 1)")
-        if self.fit_halfwidth < 1:
-            raise ValueError("fit_halfwidth must be >= 1")
-        if self.refit_rounds < 0:
-            raise ValueError("refit_rounds must be >= 0")
 
 
 def dirichlet_kernel(delta: np.ndarray, n: int) -> np.ndarray:
@@ -77,16 +73,14 @@ def padded_spectrum(y: TimeSignal, config: DftConfig) -> tuple[np.ndarray, np.nd
     return freqs[order], values[order]
 
 
-def _fit_peak(
-    residual: np.ndarray, k_max: int, n: int, total: int, halfwidth: int
-) -> tuple[complex, float]:
+def _fit_peak(residual: np.ndarray, k_max: int, n: int, total: int) -> tuple[complex, float]:
     """Least-squares (amplitude, frequency) of one kernel near bin k_max.
 
     The frequency is searched within one padded bin of the argmax; for each
     candidate the best amplitude is the closed-form projection onto the
-    kernel restricted to the fit window.
+    kernel restricted to the _FIT_HALFWIDTH bins on either side.
     """
-    window = (k_max + np.arange(-halfwidth, halfwidth + 1)) % total
+    window = (k_max + np.arange(-_FIT_HALFWIDTH, _FIT_HALFWIDTH + 1)) % total
     data = residual[window]
     grid_f = window / total
 
@@ -112,9 +106,9 @@ def extract_peaks_clean(y: TimeSignal, config: DftConfig) -> LineSpectrum:
     """Iterative highest-first peak extraction from the padded spectrum.
 
     Loop: locate the strongest residual bin, fit (amplitude, frequency) of a
-    Dirichlet kernel over fit_halfwidth bins around it, subtract the fitted
-    atom's full padded spectrum, and repeat until max_peaks are found or the
-    next peak falls below stop_fraction of the first.  Amplitudes are kept
+    Dirichlet kernel over the bins around it, subtract the fitted atom's
+    full padded spectrum, and repeat until max_peaks are found or the next
+    peak falls below stop_fraction of the first.  Amplitudes are kept
     complex; positivity of a physical spectrum is checked downstream.
     """
     if y.domain != CANONICAL:
@@ -126,30 +120,30 @@ def extract_peaks_clean(y: TimeSignal, config: DftConfig) -> LineSpectrum:
     first_peak = float(np.max(np.abs(residual)))
     if first_peak == 0.0:
         return LineSpectrum((), CANONICAL)
+
+    def atom(peak: tuple[complex, float]) -> np.ndarray:
+        return peak[0] * dirichlet_kernel(peak[1] - all_k / total, n)
+
+    def peel(residual: np.ndarray) -> tuple[np.ndarray, tuple[complex, float]]:
+        peak = _fit_peak(residual, int(np.argmax(np.abs(residual))), n, total)
+        return residual - atom(peak), peak
+
     found: list[tuple[complex, float]] = []
     for _ in range(config.max_peaks):
-        k_max = int(np.argmax(np.abs(residual)))
-        height = float(np.abs(residual[k_max]))
-        if height < config.stop_fraction * first_peak:
+        if np.max(np.abs(residual)) < config.stop_fraction * first_peak:
             break
-        amp, f_hat = _fit_peak(residual, k_max, n, total, config.fit_halfwidth)
-        residual = residual - amp * dirichlet_kernel(f_hat - all_k / total, n)
-        found.append((amp, f_hat))
+        residual, peak = peel(residual)
+        found.append(peak)
     # coordinate re-fits: each pass corrects one peak for the sidelobe
     # leakage of the others still present in the greedy residual
-    for _ in range(config.refit_rounds):
-        for i, (amp, f_hat) in enumerate(found):
-            residual = residual + amp * dirichlet_kernel(f_hat - all_k / total, n)
-            k_max = int(np.argmax(np.abs(residual)))
-            amp, f_hat = _fit_peak(residual, k_max, n, total, config.fit_halfwidth)
-            residual = residual - amp * dirichlet_kernel(f_hat - all_k / total, n)
-            found[i] = (amp, f_hat)
+    for _ in range(_REFIT_ROUNDS):
+        for i, peak in enumerate(found):
+            residual, found[i] = peel(residual + atom(peak))
     # merge duplicate fits of the same line before building the spectrum
     merged: list[tuple[complex, float]] = []
     for amp, f in found:
         for i, (amp_0, f_0) in enumerate(merged):
-            d = abs(f - f_0) % 1.0
-            if min(d, 1.0 - d) < 1.0 / (2.0 * total):
+            if _wrap_distance(f, f_0) < 1.0 / (2.0 * total):
                 merged[i] = (amp_0 + amp, f_0)
                 break
         else:

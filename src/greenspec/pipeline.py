@@ -289,7 +289,6 @@ class ReconstructionOutput:
     spectrum: LineSpectrum  # physical domain
     report: metrics.MatchReport
     epsilon: float
-    tau: float | None = None
     q_max: float | None = None
     dual_solution: anm.DenoisedSolution | None = None
 
@@ -325,10 +324,9 @@ def reconstruct(
     rmap = rescale_map_for_grid(config, signal.grid)
     y = to_canonical(signal, rmap)
     truth = oracle_spectrum(config)
-    sol = tau = q_max = None
+    sol = q_max = None
     if method == "anm":
         canon, sol = anm_reconstruct_canonical(y, config.anm, noise_scale_estimate(config))
-        tau = sol.tau
         q_max = float(np.max(anm.dual_polynomial_grid(sol)))
     elif method == "dft":
         canon = dft.extract_peaks_clean(y, config.dft)
@@ -336,9 +334,7 @@ def reconstruct(
         raise ValueError(f"unknown method {method!r}")
     est = _project_physical(_prune_small(from_canonical(canon, rmap)))
     report = metrics.match_poles(truth, est)
-    return ReconstructionOutput(
-        method, est, report, report.epsilon, tau=tau, q_max=q_max, dual_solution=sol
-    )
+    return ReconstructionOutput(method, est, report, report.epsilon, q_max=q_max, dual_solution=sol)
 
 
 def theory_threshold_t_max(config: ExperimentConfig) -> float:
@@ -410,6 +406,7 @@ def _run_cell(
             q_max=None,
             error=f"{type(exc).__name__}: {exc}",
         )
+    sol = out.dual_solution
     return SweepCell(
         t_max=t_max,
         method=method,
@@ -417,9 +414,9 @@ def _run_cell(
         n=signal.grid.n,
         seed=seed,
         epsilon=out.epsilon,
-        tau=out.tau,
+        tau=sol.tau if sol is not None else None,
         q_max=out.q_max,
-        converged=out.dual_solution.converged if out.dual_solution is not None else None,
+        converged=sol.converged if sol is not None else None,
     )
 
 

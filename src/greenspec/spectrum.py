@@ -294,6 +294,12 @@ def _golden_min(f, a: float, b: float, iters: int) -> float:
     return 0.5 * (a + b)
 
 
+def _wrap_distance(f1: float, f2: float) -> float:
+    """Distance between two frequencies on the unit circle [0, 1)."""
+    d = abs(f1 - f2) % 1.0
+    return min(d, 1.0 - d)
+
+
 # ---------------------------------------------------------------------------
 # JSON wire formats
 # ---------------------------------------------------------------------------

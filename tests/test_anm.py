@@ -43,6 +43,15 @@ class TestSelectTau:
             select_tau(0.1, 1)
 
 
+class TestAnmConfig:
+    @pytest.mark.parametrize("tol", [0.0, -1e-8, float("nan"), float("inf")])
+    def test_tol_must_be_positive_finite(self, tol):
+        # a tolerance <= 0 or NaN would run every solve to max_iters, and an
+        # infinite one would stop it before it starts
+        with pytest.raises(ValueError, match="tol"):
+            AnmConfig(tol=tol)
+
+
 BLOCK_SIZES = (1, 2, 3, 8, 24, 47)
 
 
@@ -119,7 +128,7 @@ class TestAtomicDenoise:
         n, f, c = 16, 0.42, 2.0
         y = make_signal(n, [f], [c])
         tau = 0.5
-        sol = atomic_denoise(y, AnmConfig(tau=tau, primal_tol=1e-9, dual_tol=1e-9))
+        sol = atomic_denoise(y, AnmConfig(tau=tau, tol=1e-9))
         expected = (1.0 - tau / (n * c)) * y.samples
         np.testing.assert_allclose(sol.x_hat, expected, atol=1e-5)
         peaks = locate_peaks(sol)
@@ -277,13 +286,31 @@ class TestLocatePeaks:
         signal = simulate_signal(cfg)
         y = to_canonical(signal, rescale_map_for_grid(cfg, signal.grid))
         runs = [
-            locate_peaks(atomic_denoise(y, AnmConfig(tau=0.0051794, primal_tol=tol, dual_tol=tol)))
+            locate_peaks(atomic_denoise(y, AnmConfig(tau=0.0051794, tol=tol)))
             for tol in (1e-7, 1e-9, 1e-11)
         ]
         assert len(runs[0]) > 0
         for peaks in runs[1:]:
             assert len(peaks) == len(runs[0])
             np.testing.assert_allclose(peaks, runs[0], rtol=0, atol=1e-5)
+
+    def test_count_independent_of_solver_tolerance(self):
+        # criterion 10 instance (gap 0.1, n = 25, 20 dB SNR, seed 0): the rank
+        # cut follows the solve's residual, so solver noise in a loose solve's
+        # T(u) does not count as atoms
+        n = 25
+        rng = np.random.default_rng(1000)
+        f1 = rng.uniform(0.0, 1.0)
+        c = rng.uniform(0.5, 1.5, 2)
+        x = atoms(n, [f1, (f1 + 0.1) % 1.0]) @ c
+        sigma = np.sqrt(np.mean(np.abs(x) ** 2) / 100.0)
+        noise = random_complex(rng, n) * sigma / np.sqrt(2)
+        y = TimeSignal(SamplingGrid(0.0, n, 1.0), x + noise, CANONICAL)
+        counts = [
+            len(locate_peaks(atomic_denoise(y, AnmConfig(tau=select_tau(sigma, n), tol=tol))))
+            for tol in (1e-6, 1e-10)
+        ]
+        assert counts == [2, 2]
 
     def test_full_rank_toeplitz_of_capped_solve(self):
         n = 8
@@ -297,6 +324,20 @@ class TestLocatePeaks:
         peaks = locate_peaks(sol)
         assert 0 < len(peaks) <= n - 1
         assert len(set(peaks)) == len(peaks)
+        assert all(0.0 <= f < 1.0 for f in peaks)
+
+    def test_full_rank_toeplitz_of_converged_solve(self):
+        # pure noise at a weak tau: the optimal T(u) itself has rank n, and the
+        # smallest eigenvector of all of T(u) gives n - 1 frequencies
+        n = 4
+        rng = np.random.default_rng(7)
+        y = TimeSignal(SamplingGrid(0.0, n, 1.0), random_complex(rng, n), CANONICAL)
+        sol = atomic_denoise(y, AnmConfig(tau=1e-3))
+        assert sol.converged
+        eig = np.linalg.eigvalsh(_toeplitz(sol.toeplitz_vec))
+        assert eig[0] > 1e-2 * eig[-1]
+        peaks = locate_peaks(sol)
+        assert len(peaks) == n - 1
         assert all(0.0 <= f < 1.0 for f in peaks)
 
 
@@ -337,7 +378,7 @@ class TestGridOracleAgreement:
             y_samples = atoms(n, freqs) @ coeffs + noise
             y = TimeSignal(SamplingGrid(0.0, n, 1.0), y_samples, CANONICAL)
             tau = select_tau(0.05, n)
-            sol = atomic_denoise(y, AnmConfig(tau=tau, primal_tol=1e-8, dual_tol=1e-8))
+            sol = atomic_denoise(y, AnmConfig(tau=tau, tol=1e-8))
             grid_obj = lasso_objective_oracle(y.samples, tau)
             assert sol.objective <= grid_obj * (1 + 1e-4)
             assert grid_obj - sol.objective <= 0.005 * grid_obj

@@ -29,6 +29,13 @@ class TestOracleCommand:
         assert "0.475410" in out
         assert "3.041470" in out
 
+    def test_config_names_one_solver_tolerance(self, tmp_path):
+        # the residual tolerances are one "tol"; an old name is an unknown key
+        old = write_config(tmp_path / "old.json", method={"anm": {"primal_tol": 1e-8}})
+        new = write_config(tmp_path / "new.json", method={"anm": {"tol": 1e-8}})
+        assert main(["oracle", "--config", old, "--quiet"]) == 1
+        assert main(["oracle", "--config", new, "--quiet"]) == 0
+
 
 class TestSimulateCommand:
     def test_writes_signal_and_metadata(self, tmp_path):
@@ -133,7 +140,7 @@ class TestSweepCommand:
             tmp_path / "cfg.json",
             signal={"evolver": "trotter2", "t_max": 0.4, "n": 10, "shots": 2000, "seed": 0},
             method={
-                "anm": {"tau": "ladder", "primal_tol": 3e-6, "dual_tol": 3e-6, "max_iters": 4000},
+                "anm": {"tau": "ladder", "tol": 3e-6, "max_iters": 4000},
                 "dft": {},
             },
         )

@@ -111,7 +111,7 @@ class TestExtractPeaksClean:
         maxima = [np.max(np.abs(residual))]
         for _ in range(4):
             k = int(np.argmax(np.abs(residual)))
-            amp, f_hat = _fit_peak(residual, k, n, total, cfg.fit_halfwidth)
+            amp, f_hat = _fit_peak(residual, k, n, total)
             residual = residual - amp * dirichlet_kernel(f_hat - np.arange(total) / total, n)
             maxima.append(np.max(np.abs(residual)))
         assert all(b <= a + 1e-9 for a, b in zip(maxima, maxima[1:]))

@@ -41,7 +41,7 @@ from greenspec.spectrum import (
 )
 
 
-FAST_ANM = AnmConfig(tau="ladder", primal_tol=3e-6, dual_tol=3e-6, max_iters=6000)
+FAST_ANM = AnmConfig(tau="ladder", tol=3e-6, max_iters=6000)
 
 
 class TestGridResolution:
@@ -206,7 +206,7 @@ class TestTauPolicies:
         truth = LineSpectrum((Pole(1.0, 0.2), Pole(0.6, 0.55)), CANONICAL)
         y = add_noise(synthesize_signal(truth, SamplingGrid(0.0, 16, 1.0)), sigma, seed=3)
         tau = max(select_tau(sigma, 16), TAU_FLOOR_REL * float(np.linalg.norm(y.samples)))
-        cfg = AnmConfig(primal_tol=3e-6, dual_tol=3e-6)
+        cfg = AnmConfig(tol=3e-6)
         _, auto = anm_reconstruct_canonical(y, replace(cfg, tau="auto"), sigma)
         _, fixed = anm_reconstruct_canonical(y, replace(cfg, tau=tau), sigma)
         assert auto.tau.hex() == fixed.tau.hex()
