@@ -20,7 +20,6 @@ from .dft import DftConfig, extract_peaks_clean, padded_spectrum
 from .metrics import MatchReport, match_poles, reconstruction_error
 from .pipeline import (
     ExperimentConfig,
-    RescaleConfig,
     SignalConfig,
     theory_threshold_t_max,
     oracle_spectrum,

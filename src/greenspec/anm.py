@@ -171,10 +171,9 @@ def _psd_project(s: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return np.matmul(v * np.maximum(w, 0.0), v.conj().T, out=out)
 
 
-# a solve only counts as converged when the dual polynomial respects its
-# unit bound on a fine grid; residual-small but certificate-violating points
-# are still short of the optimum on ill-conditioned instances
-_CERT_GRID = 8192
+# a solve only counts as converged when the dual polynomial respects its unit
+# bound on the grid of _cert_points; residual-small but certificate-violating
+# points are still short of the optimum on ill-conditioned instances
 _CERT_SLACK = 5e-4
 
 _RHO = 2.0  # initial ADMM penalty; rebalanced every 25 iterations
@@ -254,7 +253,7 @@ def _admm(
             if fix_x:
                 converged = True
                 break
-            q_max = float(np.max(np.abs(np.fft.fft((y - x) / tau, _CERT_GRID))))
+            q_max = float(np.max(np.abs(np.fft.fft((y - x) / tau, _cert_points(len(y))))))
             if q_max <= 1.0 + _CERT_SLACK:
                 converged = True
                 break
@@ -392,13 +391,17 @@ def atomic_norm(x: TimeSignal, config: AnmConfig | None = None) -> float:
     return sol.atomic_norm_value * scale
 
 
+def _cert_points(n: int) -> int:
+    return max(4096, 64 * n)
+
+
 def dual_polynomial_grid(solution: DenoisedSolution, grid_points: int | None = None) -> np.ndarray:
     """|Q| on a uniform frequency grid k/grid_points, evaluated by FFT.
 
-    The default grid has max(4096, 64 n) points.
+    The default grid is the certificate grid, max(4096, 64 n) points.
     """
     if grid_points is None:
-        grid_points = max(4096, 64 * len(solution.dual))
+        grid_points = _cert_points(len(solution.dual))
     return np.abs(np.fft.fft(solution.dual, grid_points))
 
 

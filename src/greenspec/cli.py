@@ -224,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--variant",
         action="append",
         choices=sorted(pipeline.VARIANTS),
-        help="signal variant(s); default: the one implied by the config",
+        help="signal variant(s); default: the config as given",
     )
     p_sweep.add_argument(
         "--workers",

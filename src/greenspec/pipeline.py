@@ -1,7 +1,7 @@
 """End-to-end experiment pipeline: simulate, rescale, reconstruct, score.
 
-An experiment is described by a plain-dict/JSON configuration with four
-sections (model, signal, rescale, method).  The pipeline builds the model
+An experiment is described by a plain-dict/JSON configuration with three
+sections (model, signal, method).  The pipeline builds the model
 Hamiltonians, samples the Green's function on the uniform grid implied by
 the rescale map, demodulates to canonical coordinates, reconstructs the line
 spectrum with atomic-norm minimization and/or the DFT baseline, maps back to
@@ -47,6 +47,9 @@ TAU_FLOOR_REL = 2e-3
 # Relative ladder scanned by the "path" tau policy before local refinement.
 TAU_PATH_LADDER = (0.003, 0.007, 0.015, 0.03, 0.06, 0.12)
 
+# A grid set by t_max or n alone is padded by the widest gap of this many lines.
+GAP_LINES = 4
+
 
 @dataclass(frozen=True)
 class SignalConfig:
@@ -63,53 +66,39 @@ class SignalConfig:
     def __post_init__(self) -> None:
         if self.evolver not in ("exact", "trotter2"):
             raise ValueError(f"unknown evolver {self.evolver!r}")
-
-    def require_extent(self) -> None:
-        if self.t_max is None and self.n is None:
-            raise ValueError("signal config needs t_max, n, or both")
-
-
-@dataclass(frozen=True)
-class RescaleConfig:
-    omega_a: float | None = None  # None = derive from the Hamiltonian one-norm
-    omega_b: float | None = None
-    k_min: int = 4
-    delta_omega_override: float | None = None
+        if self.t_max is not None and not self.t_max > self.t0:
+            raise ValueError(f"window needs t_max > t0, got t_max={self.t_max}, t0={self.t0}")
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     model: qsim.ModelParams = field(default_factory=lambda: qsim.ModelParams(4.0, 0.745))
     signal: SignalConfig = field(default_factory=SignalConfig)
-    rescale: RescaleConfig = field(default_factory=RescaleConfig)
     anm: anm.AnmConfig = field(default_factory=anm.AnmConfig)
     dft: dft.DftConfig = field(default_factory=dft.DftConfig)
 
     @staticmethod
     def from_dict(data: dict) -> "ExperimentConfig":
+        # a misspelled section or method would otherwise run on the defaults
+        methods = data.get("method", {})
+        unknown = sorted(set(data) - {"model", "signal", "method"})
+        unknown += [f"method.{name}" for name in sorted(set(methods) - {"anm", "dft"})]
+        if unknown:
+            raise ValueError(f"unknown config section(s) {unknown}")
         model = qsim.ModelParams(**data.get("model", {"u": 4.0, "v": 0.745}))
         signal = SignalConfig(**data.get("signal", {}))
-        rescale = RescaleConfig(**data.get("rescale", {}))
-        anm_cfg = anm.AnmConfig(**data.get("method", {}).get("anm", {}))
-        dft_cfg = dft.DftConfig(**data.get("method", {}).get("dft", {}))
-        return ExperimentConfig(model, signal, rescale, anm_cfg, dft_cfg)
+        anm_cfg = anm.AnmConfig(**methods.get("anm", {}))
+        dft_cfg = dft.DftConfig(**methods.get("dft", {}))
+        return ExperimentConfig(model, signal, anm_cfg, dft_cfg)
 
 
 def _energy_window(config: ExperimentConfig) -> tuple[float, float]:
-    if config.rescale.omega_a is None or config.rescale.omega_b is None:
-        _, _, h_eff = qsim.build_hamiltonians(config.model)
-        return energy_bounds(h_eff)
-    return config.rescale.omega_a, config.rescale.omega_b
+    _, _, h_eff = qsim.build_hamiltonians(config.model)
+    return energy_bounds(h_eff)
 
 
 def resolve_rescale_map(config: ExperimentConfig) -> RescaleMap:
-    """Rescale map honoring energy bounds, gap override, and oversampling."""
-    config.signal.require_extent()
-    return _rescale_map(config)
-
-
-def _rescale_map(config: ExperimentConfig) -> RescaleMap:
-    # needs no extent: a config without both t_max and n gets the unpadded map
+    """Rescale map over the energy bounds; the signal config needs no extent."""
     sig = config.signal
     if sig.t_max is not None and sig.n is not None:
         # oversampled grid: enlarge the padding so dt = span/(n-1) exactly
@@ -117,9 +106,7 @@ def _rescale_map(config: ExperimentConfig) -> RescaleMap:
             raise ValueError("oversampled grid needs n >= 2")
         return _map_with_bandwidth(config, (sig.n - 1) / (sig.t_max - sig.t0), sig.t0)
     omega_a, omega_b = _energy_window(config)
-    return build_rescale_map(
-        omega_a, omega_b, config.rescale.k_min, sig.t0, config.rescale.delta_omega_override
-    )
+    return build_rescale_map(omega_a, omega_b, GAP_LINES, sig.t0)
 
 
 def rescale_map_for_grid(config: ExperimentConfig, grid: SamplingGrid) -> RescaleMap:
@@ -137,15 +124,17 @@ def _map_with_bandwidth(config: ExperimentConfig, omega_max: float, t0: float) -
     delta = 2.0 * math.pi * omega_max - (omega_b - omega_a)
     if delta <= 0:
         raise ValueError("sample spacing too coarse for the configured energy range")
-    return build_rescale_map(omega_a, omega_b, config.rescale.k_min, t0, delta)
+    return RescaleMap(omega_a, omega_b, delta, t0)
 
 
 def resolve_grid(config: ExperimentConfig, rmap: RescaleMap) -> SamplingGrid:
     sig = config.signal
     if sig.n is not None:
         n = sig.n
-    else:
+    elif sig.t_max is not None:
         n = int(math.floor((sig.t_max - sig.t0) * rmap.omega_max)) + 1
+    else:
+        raise ValueError("signal config needs t_max, n, or both")
     return SamplingGrid(t0=sig.t0, n=n, dt=1.0 / rmap.omega_max)
 
 
@@ -344,7 +333,7 @@ def theory_threshold_t_max(config: ExperimentConfig) -> float:
     units together with the grid rule n = floor(t_max omega_max) + 1.  The
     signal config needs no extent.
     """
-    rmap = _rescale_map(config)
+    rmap = resolve_rescale_map(config)
     truth = oracle_spectrum(config)
     freqs = sorted(rmap.frequency_to_canonical(p.frequency) for p in truth.poles)
     if len(freqs) < 2:
@@ -380,18 +369,17 @@ class SweepCell:
 def _run_cell(
     config: ExperimentConfig, t_max: float, variant: str, method: str, seed: int
 ) -> SweepCell:
-    overrides = VARIANTS.get(variant, {})
     # windows with t0 < 0 slide with t_max (two-sided sampling)
     t0 = -t_max if config.signal.t0 < 0 else config.signal.t0
-    sig = replace(config.signal, t_max=t_max, t0=t0, seed=seed, **overrides)
-    if config.signal.n is not None and config.signal.t_max is not None:
-        # keep the configured sampling rate: rescale n with the window
-        base_span = config.signal.t_max - config.signal.t0
-        rate = (config.signal.n - 1) / base_span
-        span = t_max - t0
-        sig = replace(sig, n=max(2, int(math.floor(span * rate)) + 1))
-    cell_cfg = replace(config, signal=sig)
     try:
+        sig = replace(config.signal, t_max=t_max, t0=t0, seed=seed)
+        if config.signal.n is not None and config.signal.t_max is not None:
+            # keep the configured sampling rate: rescale n with the window
+            base_span = config.signal.t_max - config.signal.t0
+            rate = (config.signal.n - 1) / base_span
+            span = t_max - t0
+            sig = replace(sig, n=max(2, int(math.floor(span * rate)) + 1))
+        cell_cfg = replace(config, signal=sig)
         signal = simulate_signal(cell_cfg)
         out = reconstruct(signal, cell_cfg, method)
     except (ValueError, ArithmeticError, np.linalg.LinAlgError) as exc:
@@ -432,18 +420,25 @@ def run_sweep(
     Cells run one after another in this process and come back in that order:
     t_max outermost, then variant, method and seed.  Each cell derives its
     own deterministic shot substream from (t, seed), so a cell's result does
-    not depend on which cells ran before it.  Numeric failures (ValueError,
-    ArithmeticError, LinAlgError) are recorded per cell and the sweep
-    continues; any other exception propagates.
+    not depend on which cells ran before it.  A named variant overrides the
+    configured evolver and shots as ``VARIANTS`` lists; without ``variants``
+    the config runs as given, labelled by the variant it matches.  Numeric
+    failures (ValueError, ArithmeticError, LinAlgError) are recorded per
+    cell and the sweep continues; any other exception propagates.
     """
     if not t_max_list or not seeds:
         raise ValueError("t_max_list and seeds must be non-empty")
     if variants is None:
-        variants = (_variant_name(config),)
+        runs = [(_variant_name(config), config)]
+    else:
+        runs = [
+            (variant, replace(config, signal=replace(config.signal, **VARIANTS.get(variant, {}))))
+            for variant in variants
+        ]
     return [
-        _run_cell(config, t_max, variant, method, seed)
+        _run_cell(variant_cfg, t_max, variant, method, seed)
         for t_max in t_max_list
-        for variant in variants
+        for variant, variant_cfg in runs
         for method in methods
         for seed in seeds
     ]

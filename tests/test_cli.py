@@ -56,6 +56,26 @@ class TestSimulateCommand:
         bad.write_text(json.dumps({"signal": {"evolver": "magic", "t_max": 1.0}}))
         assert main(["simulate", "--config", str(bad), "--out", str(tmp_path)]) == 1
 
+    @pytest.mark.parametrize(
+        "section",
+        [
+            {"rescale": {"k_min": 4}},
+            {"methd": {"anm": {"tau": 0.1}}},
+            {"method": {"music": {}}},
+        ],
+    )
+    def test_unknown_section_is_usage_error(self, tmp_path, capsys, section):
+        cfg = write_config(tmp_path / "cfg.json", **section)
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 1
+        assert "bad config" in capsys.readouterr().err
+        assert not (tmp_path / "signal.json").exists()
+
+    @pytest.mark.parametrize("command", [["simulate"], ["sweep", "--t-max", "0.3"]])
+    def test_zero_span_window_is_usage_error(self, tmp_path, capsys, command):
+        cfg = write_config(tmp_path / "cfg.json", signal={"t_max": 0.0, "n": 5})
+        assert main([*command, "--config", cfg, "--out", str(tmp_path)]) == 1
+        assert "bad config" in capsys.readouterr().err
+
     def test_missing_config_is_io_error(self, tmp_path):
         assert main(["simulate", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path)]) == 2
 

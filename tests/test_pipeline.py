@@ -10,7 +10,6 @@ from greenspec.pipeline import (
     TAU_PATH_LADDER,
     ExperimentConfig,
     SignalConfig,
-    RescaleConfig,
     anm_reconstruct_canonical,
     theory_threshold_t_max,
     noise_scale_estimate,
@@ -288,13 +287,27 @@ class TestSweep:
 
     def test_failures_recorded_not_raised(self):
         # a window too short for two samples cannot be reconstructed
-        cfg = ExperimentConfig(
-            signal=SignalConfig(evolver="exact", t_max=1.0), anm=FAST_ANM,
-            rescale=RescaleConfig(k_min=2),
-        )
+        cfg = ExperimentConfig(signal=SignalConfig(evolver="exact", t_max=1.0), anm=FAST_ANM)
         cells = run_sweep(cfg, [1e-6], [0], methods=("anm",))
         assert len(cells) == 1
-        assert cells[0].error is not None
+        assert cells[0].error == "ValueError: need at least two samples"
+
+    def test_empty_swept_window_recorded_not_raised(self):
+        cfg = ExperimentConfig(signal=SignalConfig(evolver="exact", t0=0.1, t_max=0.5, n=41))
+        (cell,) = run_sweep(cfg, [0.1], [0], methods=("dft",))
+        assert cell.n == -1
+        assert cell.error.startswith("ValueError: window needs t_max > t0")
+
+    def test_default_variant_runs_config_as_given(self):
+        # trotter2 with shots reads as "trotter2_shots", whose named variant
+        # would override the configured 1,000 shots with 100,000
+        cfg = ExperimentConfig(signal=SignalConfig(evolver="trotter2", shots=1000, t_max=0.4, n=10))
+        (cell,) = run_sweep(cfg, [0.4], [0], methods=("dft",))
+        expected = reconstruct(simulate_signal(cfg), cfg, "dft").epsilon
+        assert cell.variant == "trotter2_shots"
+        assert cell.epsilon == expected
+        (named,) = run_sweep(cfg, [0.4], [0], methods=("dft",), variants=("trotter2_shots",))
+        assert named.epsilon != expected
 
     def test_programmer_errors_propagate(self, monkeypatch):
         def broken(*args, **kwargs):
@@ -329,7 +342,6 @@ class TestConfigParsing:
         data = {
             "model": {"u": 4.0, "v": 0.745},
             "signal": {"evolver": "trotter2", "t_max": 0.5, "n": 12, "shots": 1000},
-            "rescale": {"k_min": 4},
             "method": {"anm": {"tau": "ladder"}, "dft": {"pad_factor": 8}},
         }
         cfg = ExperimentConfig.from_dict(data)
@@ -341,5 +353,24 @@ class TestConfigParsing:
 
     def test_signal_requires_extent_to_resolve(self):
         cfg = ExperimentConfig(signal=SignalConfig(t_max=None, n=None))
-        with pytest.raises(ValueError):
-            resolve_rescale_map(cfg)
+        with pytest.raises(ValueError, match="needs t_max, n, or both"):
+            resolve_grid(cfg, resolve_rescale_map(cfg))
+        with pytest.raises(ValueError, match="needs t_max, n, or both"):
+            simulate_signal(cfg)
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"rescale": {"k_min": 4}},
+            {"methd": {"anm": {"tau": 0.1}}},
+            {"method": {"music": {}}},
+        ],
+    )
+    def test_unknown_section_rejected(self, data):
+        with pytest.raises(ValueError, match="unknown config section"):
+            ExperimentConfig.from_dict(data)
+
+    @pytest.mark.parametrize("t_max", [0.0, -0.2])
+    def test_empty_window_rejected(self, t_max):
+        with pytest.raises(ValueError, match="t_max > t0"):
+            SignalConfig(t_max=t_max, n=5)
