@@ -79,8 +79,12 @@ class ExperimentConfig:
 
     @staticmethod
     def from_dict(data: dict) -> "ExperimentConfig":
-        # a misspelled section or method would otherwise run on the defaults
+        if not isinstance(data, dict):
+            raise ValueError(f"config must be an object, got {type(data).__name__}")
         methods = data.get("method", {})
+        if not isinstance(methods, dict):
+            raise ValueError(f"method section must be an object, got {type(methods).__name__}")
+        # a misspelled section or method would otherwise run on the defaults
         unknown = sorted(set(data) - {"model", "signal", "method"})
         unknown += [f"method.{name}" for name in sorted(set(methods) - {"anm", "dft"})]
         if unknown:
@@ -209,8 +213,12 @@ def anm_reconstruct_canonical(
     :func:`anm.select_tau` of the noise estimate, floored at
     TAU_FLOOR_REL * ||y||.  "ladder" and "path" scan a geometric grid of
     weights (or fall back to "auto" when y = 0), scoring each candidate by
-    the least-squares misfit of its fitted atoms against the data; "path"
-    additionally sharpens the best bracket by golden section.  Both are
+    the least-squares misfit of its fitted atoms against the data.  The
+    descent runs from the largest weight down until the fit turns sour.
+    "ladder" also stops at the first converged candidate whose misfit
+    reaches the noise floor, as select would keep no smaller weight;
+    "path" descends in full, then sharpens the best bracket by golden
+    section, whose warm starts depend on every visited weight.  Both are
     data-driven realizations of a "suitably chosen" regularization weight
     and need no knowledge of the truth.
 
@@ -241,13 +249,19 @@ def anm_reconstruct_canonical(
 
     # descend the path: strongly regularized solves are cheap and make good
     # warm starts for the weakly regularized ones; stop once the fit turns
-    # sour, since smaller weights only fragment the support further
+    # sour, since smaller weights only fragment the support further.  A
+    # "ladder" also stops at the first converged fit at the noise floor:
+    # select's floor is then the noise term whatever follows, so no smaller
+    # weight can be chosen (the same float expressions keep this exact)
+    noise_floor = 1.1 * sigma_est * math.sqrt(y.grid.n)
     worse = 0
     for tau in sorted(candidates, reverse=True):
         resid = evaluate(tau)
         best_so_far = min(fit[0] for fit in fits.values())
         worse = worse + 1 if resid > 1.5 * best_so_far else 0
         if worse >= 2:
+            break
+        if cfg.tau == "ladder" and fits[tau][2].converged and 1.1 * resid <= noise_floor:
             break
     candidates = [t for t in candidates if t in fits]
 
@@ -258,7 +272,7 @@ def anm_reconstruct_canonical(
         # without noise this degenerates to (nearly) the best-fit candidate
         taus = [t for t in taus if fits[t][2].converged] or list(taus)
         best = min(fits[t][0] for t in taus)
-        floor = max(1.1 * best, 1.1 * sigma_est * math.sqrt(y.grid.n))
+        floor = max(1.1 * best, noise_floor)
         return max(t for t in taus if fits[t][0] <= floor)
 
     tau_best = select(candidates)
@@ -421,18 +435,22 @@ def run_sweep(
     t_max outermost, then variant, method and seed.  Each cell derives its
     own deterministic shot substream from (t, seed), so a cell's result does
     not depend on which cells ran before it.  A named variant overrides the
-    configured evolver and shots as ``VARIANTS`` lists; without ``variants``
-    the config runs as given, labelled by the variant it matches.  Numeric
-    failures (ValueError, ArithmeticError, LinAlgError) are recorded per
-    cell and the sweep continues; any other exception propagates.
+    configured evolver and shots as ``VARIANTS`` lists, and a name not in
+    ``VARIANTS`` is a ValueError; without ``variants`` the config runs as
+    given, labelled by the variant it matches.  Numeric failures
+    (ValueError, ArithmeticError, LinAlgError) are recorded per cell and the
+    sweep continues; any other exception propagates.
     """
     if not t_max_list or not seeds:
         raise ValueError("t_max_list and seeds must be non-empty")
     if variants is None:
         runs = [(_variant_name(config), config)]
     else:
+        unknown = [variant for variant in variants if variant not in VARIANTS]
+        if unknown:
+            raise ValueError(f"unknown variant(s) {unknown}; known: {sorted(VARIANTS)}")
         runs = [
-            (variant, replace(config, signal=replace(config.signal, **VARIANTS.get(variant, {}))))
+            (variant, replace(config, signal=replace(config.signal, **VARIANTS[variant])))
             for variant in variants
         ]
     return [

@@ -70,6 +70,13 @@ class TestSimulateCommand:
         assert "bad config" in capsys.readouterr().err
         assert not (tmp_path / "signal.json").exists()
 
+    @pytest.mark.parametrize("data", [[], {"method": []}])
+    def test_non_object_config_is_usage_error(self, tmp_path, capsys, data):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(data))
+        assert main(["oracle", "--config", str(cfg)]) == 1
+        assert "bad config" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", [["simulate"], ["sweep", "--t-max", "0.3"]])
     def test_zero_span_window_is_usage_error(self, tmp_path, capsys, command):
         cfg = write_config(tmp_path / "cfg.json", signal={"t_max": 0.0, "n": 5})

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -234,6 +235,74 @@ class TestTauPolicies:
         assert sol.converged is True
 
 
+class TestLadderNoiseStop:
+    @staticmethod
+    def signal(sigma):
+        # a weak third line that the strongest weights shrink away
+        truth = LineSpectrum((Pole(1.0, 0.2), Pole(0.6, 0.55), Pole(0.15, 0.8)), CANONICAL)
+        return add_noise(synthesize_signal(truth, SamplingGrid(0.0, 16, 1.0)), sigma, seed=3)
+
+    @staticmethod
+    def candidates(y, sigma):
+        taus = {rel * float(np.linalg.norm(y.samples)) for rel in TAU_PATH_LADDER}
+        if sigma > 0:
+            taus |= {select_tau(sigma, y.grid.n), 2.0 * select_tau(sigma, y.grid.n)}
+        return sorted(taus, reverse=True)
+
+    @staticmethod
+    def spy_taus(monkeypatch):
+        taus, denoise = [], pipeline.anm.atomic_denoise
+
+        def spy(y, cfg, warm=None):
+            taus.append(cfg.tau)
+            return denoise(y, cfg, warm=warm)
+
+        monkeypatch.setattr(pipeline.anm, "atomic_denoise", spy)
+        return taus
+
+    def test_stops_at_noise_floor_with_the_same_choice(self, monkeypatch):
+        sigma = 0.002
+        y = self.signal(sigma)
+        cfg = AnmConfig(tau="ladder")
+        candidates = self.candidates(y, sigma)
+        # reference: every candidate along one warm chain, then select's rule
+        fits, warm = {}, None
+        for tau in candidates:
+            warm = pipeline.anm.atomic_denoise(y, replace(cfg, tau=tau), warm=warm)
+            fits[tau] = (pipeline._peaks_and_fit(y, warm)[0], warm)
+        pool = [t for t in candidates if fits[t][1].converged] or candidates
+        best = min(fits[t][0] for t in pool)
+        floor = max(1.1 * best, 1.1 * sigma * math.sqrt(y.grid.n))
+        expected = fits[max(t for t in pool if fits[t][0] <= floor)][1]
+
+        taus = self.spy_taus(monkeypatch)
+        _, sol = anm_reconstruct_canonical(y, cfg, sigma)
+        assert len(taus) < len(candidates)
+        assert taus == candidates[: len(taus)]
+        assert sol.tau.hex() == expected.tau.hex()
+        assert sol.x_hat.tobytes() == expected.x_hat.tobytes()
+
+    def test_unconverged_fit_does_not_stop(self, monkeypatch):
+        y = self.signal(0.002)
+        taus = self.spy_taus(monkeypatch)
+        spy = pipeline.anm.atomic_denoise
+
+        def unconverged(y, cfg, warm=None):
+            return replace(spy(y, cfg, warm=warm), converged=False)
+
+        monkeypatch.setattr(pipeline.anm, "atomic_denoise", unconverged)
+        anm_reconstruct_canonical(y, AnmConfig(tau="ladder"), 0.002)
+        assert taus == self.candidates(y, 0.002)
+
+    @pytest.mark.parametrize("policy, sigma", [("ladder", 0.0), ("path", 0.002)])
+    def test_noiseless_ladder_and_path_descend_in_full(self, monkeypatch, policy, sigma):
+        y = self.signal(sigma)
+        candidates = self.candidates(y, sigma)
+        taus = self.spy_taus(monkeypatch)
+        anm_reconstruct_canonical(y, AnmConfig(tau=policy), sigma)
+        assert taus[: len(candidates)] == candidates
+
+
 class TestSweep:
     def test_single_cell_matches_reconstruct(self):
         cfg = ExperimentConfig(
@@ -309,6 +378,11 @@ class TestSweep:
         (named,) = run_sweep(cfg, [0.4], [0], methods=("dft",), variants=("trotter2_shots",))
         assert named.epsilon != expected
 
+    def test_unknown_variant_rejected(self):
+        cfg = ExperimentConfig(signal=SignalConfig(t_max=0.4, n=10))
+        with pytest.raises(ValueError, match="unknown variant.*trotter2_shot'.*known"):
+            run_sweep(cfg, [0.4], [0], ("dft",), ("trotter2_shot",))
+
     def test_programmer_errors_propagate(self, monkeypatch):
         def broken(*args, **kwargs):
             raise TypeError("not a numeric failure")
@@ -368,6 +442,11 @@ class TestConfigParsing:
     )
     def test_unknown_section_rejected(self, data):
         with pytest.raises(ValueError, match="unknown config section"):
+            ExperimentConfig.from_dict(data)
+
+    @pytest.mark.parametrize("data", [[], "anm", {"method": []}, {"method": "anm"}])
+    def test_non_object_rejected(self, data):
+        with pytest.raises(ValueError, match="must be an object"):
             ExperimentConfig.from_dict(data)
 
     @pytest.mark.parametrize("t_max", [0.0, -0.2])
