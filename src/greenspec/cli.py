@@ -209,7 +209,9 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_rec)
     p_rec.add_argument("signal", help="signal JSON produced by simulate")
     p_rec.add_argument("--method", choices=("anm", "dft", "both"), default="both")
-    p_rec.add_argument("--mitigate", action="store_true", help="rescale using the known t=0 value")
+    p_rec.add_argument(
+        "--mitigate", action="store_true", help="rescale by |G(0)|; the grid must contain t = 0"
+    )
     p_rec.add_argument(
         "--convention", choices=("gtilde", "retarded"), default="gtilde", help=convention_help
     )

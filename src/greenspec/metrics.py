@@ -41,16 +41,11 @@ class MatchReport:
         }
 
 
-def match_poles(
-    truth: LineSpectrum,
-    estimate: LineSpectrum,
-    max_distance: float | None = None,
-) -> MatchReport:
+def match_poles(truth: LineSpectrum, estimate: LineSpectrum) -> MatchReport:
     """Minimum-cost assignment of estimated poles to true poles.
 
-    Cost is |w_l - w_hat_m|; assignments farther apart than ``max_distance``
-    (default: a quarter of the joint frequency span) are rejected to the
-    unmatched lists.
+    Cost is |w_l - w_hat_m|; assignments farther apart than a quarter of the
+    joint frequency span are rejected to the unmatched lists.
     """
     if truth.domain != estimate.domain:
         raise ValueError("spectra must share a domain")
@@ -63,10 +58,9 @@ def match_poles(
             unmatched_est=tuple(range(len(we))),
             epsilon=_epsilon(truth, estimate, ()),
         )
-    if max_distance is None:
-        allfreq = np.concatenate([wt, we])
-        span = float(allfreq.max() - allfreq.min())
-        max_distance = np.inf if span == 0.0 else span / 4.0
+    allfreq = np.concatenate([wt, we])
+    span = float(allfreq.max() - allfreq.min())
+    max_distance = np.inf if span == 0.0 else span / 4.0
     cost = np.abs(wt[:, None] - we[None, :])
     rows, cols = linear_sum_assignment(cost)
     pairs = tuple(

@@ -18,6 +18,7 @@ two-sided signal.
 from __future__ import annotations
 
 import math
+import typing
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -89,11 +90,31 @@ class ExperimentConfig:
         unknown += [f"method.{name}" for name in sorted(set(methods) - {"anm", "dft"})]
         if unknown:
             raise ValueError(f"unknown config section(s) {unknown}")
-        model = qsim.ModelParams(**data.get("model", {"u": 4.0, "v": 0.745}))
-        signal = SignalConfig(**data.get("signal", {}))
-        anm_cfg = anm.AnmConfig(**methods.get("anm", {}))
-        dft_cfg = dft.DftConfig(**methods.get("dft", {}))
+        model = _section(qsim.ModelParams, "model", data.get("model", {"u": 4.0, "v": 0.745}))
+        signal = _section(SignalConfig, "signal", data.get("signal", {}))
+        anm_cfg = _section(anm.AnmConfig, "method.anm", methods.get("anm", {}))
+        dft_cfg = _section(dft.DftConfig, "method.dft", methods.get("dft", {}))
         return ExperimentConfig(model, signal, anm_cfg, dft_cfg)
+
+
+# an int passes for a float field; values are checked by exact type, so a bool
+# (an int in Python) passes only for a bool field
+_ACCEPTS = {float: {int, float}}
+
+
+def _section(cls, section: str, values):
+    """``cls(**values)``, with a ``ValueError`` naming any value of the wrong type."""
+    if not isinstance(values, dict):
+        raise ValueError(f"{section} section must be an object, got {type(values).__name__}")
+    hints = typing.get_type_hints(cls)
+    for key, value in values.items():
+        if key not in hints:
+            continue  # cls(**values) rejects an unknown key
+        annotated = typing.get_args(hints[key]) or (hints[key],)
+        if type(value) not in set().union(*(_ACCEPTS.get(a, {a}) for a in annotated)):
+            expected = " or ".join("null" if a is type(None) else a.__name__ for a in annotated)
+            raise ValueError(f"{section}.{key} must be {expected}, got {value!r}")
+    return cls(**values)
 
 
 def _energy_window(config: ExperimentConfig) -> tuple[float, float]:
@@ -323,7 +344,7 @@ def reconstruct(
     """Run one reconstruction method on a physical-domain signal and score it."""
     if mitigate:
         reference = 1.0 if config.signal.use_sym else 2.0
-        signal, _ = qsim.mitigate_gate_error(signal, n_fit=1, reference=reference)
+        signal, _ = qsim.mitigate_gate_error(signal, reference=reference)
     rmap = rescale_map_for_grid(config, signal.grid)
     y = to_canonical(signal, rmap)
     truth = oracle_spectrum(config)

@@ -9,15 +9,19 @@ exactly (dense eigendecomposition) or through a second-order symmetric
 product formula, to one time or to a whole 1-D array of times at once: a
 batch of states is an ``(n_t, 2^q)`` array with one row per time.
 
+Every gate acts as a dense matrix M built from ``PauliString.matrix()``, as
+psi @ M^T on a batch of rows psi; each product-formula factor is
+cos(a) psi - i sin(a) psi @ P^T, with P built once per Hamiltonian.
+
 Interferometry expectations are evaluated by direct linear algebra on the
-three-qubit state: Hadamard on the ancilla, ancilla-controlled Pauli,
-evolution under the effective Hamiltonian, controlled Pauli again, then a
-Z- or (rotated) Y-basis ancilla readout.  The state before the evolution
-does not depend on t, so a sample grid costs one batched evolution per
-prepared Pauli: one for the one-sided assembly, two for the two-sided one.
-Finite-shot readout draws Bernoulli outcomes with the exact probability as
-bias, with an independent, reproducible substream per (time, seed,
-observable).
+three-qubit state: Hadamard on the ancilla, ancilla-controlled Pauli
+(the block matrix diag(I_4, P (x) I)), evolution under the effective
+Hamiltonian, controlled Pauli again, then a Z- or (rotated) Y-basis
+ancilla readout.  The state before the evolution does not depend on t, so
+a sample grid costs one batched evolution per prepared Pauli: one for the
+one-sided assembly, two for the two-sided one.  Finite-shot readout draws
+Bernoulli outcomes with the exact probability as bias, with an
+independent, reproducible substream per (time, seed, observable).
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from scipy.linalg import block_diag
 
 from .spectrum import LineSpectrum, Pole, TimeSignal
 
@@ -65,24 +70,6 @@ class PauliString:
             out = np.kron(out, _PAULI_MATS[c])
         return out
 
-    def apply(self, state: np.ndarray) -> np.ndarray:
-        """Apply the string to 2^q state vectors (last axis) without forming the matrix."""
-        lead = state.shape[:-1]
-        psi = state.reshape(lead + (2,) * len(self.letters))
-        ones = (1,) * (psi.ndim - 1)
-        for axis, c in enumerate(self.letters, start=len(lead)):
-            if c == "I":
-                continue
-            psi = np.moveaxis(psi, axis, 0)
-            if c == "X":
-                psi = psi[::-1]
-            elif c == "Y":
-                psi = psi[::-1] * np.array([-1.0j, 1.0j]).reshape((2,) + ones)
-            elif c == "Z":
-                psi = psi * np.array([1.0, -1.0]).reshape((2,) + ones)
-            psi = np.moveaxis(psi, 0, axis)
-        return psi.reshape(state.shape)
-
 
 @dataclass(frozen=True)
 class PauliHamiltonian:
@@ -98,8 +85,6 @@ class PauliHamiltonian:
                 raise ValueError(
                     f"term {s} acts on {s.qubit_count} qubits, register has {self.qubit_count}"
                 )
-            if abs(np.imag(c)) > 0:
-                raise ValueError("coefficients must be real")
 
     @property
     def dim(self) -> int:
@@ -132,10 +117,6 @@ class StateVector:
         amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
 
-    @property
-    def qubit_count(self) -> int:
-        return int(np.log2(self.amplitudes.shape[-1]))
-
 
 @dataclass(frozen=True)
 class ModelParams:
@@ -162,6 +143,11 @@ EXACT_SHOTS = ShotConfig(shots=None)
 
 def _ps(letters: str) -> PauliString:
     return PauliString(tuple(letters))
+
+
+# X or Y on site qubit 1, controlled on the ancilla (MSB): C = diag(I_4, P (x) I),
+# kept as C^T so that psi @ C^T applies C to each row of a batch of states
+_CONTROLLED_SITE1_T = {c: block_diag(np.eye(4), _ps(c + "I").matrix()).T for c in "XY"}
 
 
 def build_hamiltonians(params: ModelParams) -> tuple[PauliHamiltonian, PauliHamiltonian, PauliHamiltonian]:
@@ -226,8 +212,13 @@ def _eigendecomposition(h: PauliHamiltonian) -> tuple[np.ndarray, np.ndarray]:
     return w, v
 
 
-def ground_energy(h: PauliHamiltonian) -> float:
-    return float(_eigendecomposition(h)[0][0])
+@lru_cache(maxsize=64)
+def _term_matrices(h: PauliHamiltonian) -> tuple[tuple[float, np.ndarray], ...]:
+    # (coefficient, P^T) per term, in term order: psi @ P^T applies P to each row
+    terms = tuple((c, s.matrix().T) for c, s in h.terms)
+    for _, pt in terms:
+        pt.flags.writeable = False
+    return terms
 
 
 def _check_state(h: PauliHamiltonian, state: StateVector) -> None:
@@ -249,14 +240,13 @@ def exact_evolve(h: PauliHamiltonian, t: float | np.ndarray, state: StateVector)
 
 
 def _apply_pauli_exponential(
-    coeff: float, string: PauliString, angle: np.ndarray, psi: np.ndarray
+    coeff: float, pt: np.ndarray, angle: np.ndarray, psi: np.ndarray
 ) -> np.ndarray:
     # exp(-i angle coeff P) psi = cos(a) psi - i sin(a) P psi, since P^2 = I;
-    # ``angle`` holds one value per row of psi, as a trailing length-1 axis
+    # ``pt`` is P^T and ``angle`` holds one value per row of psi, as a
+    # trailing length-1 axis
     a = angle * coeff
-    if all(c == "I" for c in string.letters):
-        return psi * np.exp(-1j * a)
-    return np.cos(a) * psi - 1j * np.sin(a) * string.apply(psi)
+    return np.cos(a) * psi - 1j * np.sin(a) * (psi @ pt)
 
 
 def trotter2_evolve(
@@ -274,11 +264,12 @@ def trotter2_evolve(
     _check_state(h, state)
     psi = state.amplitudes
     half = np.asarray(t, dtype=float)[..., None] / steps / 2.0
+    terms = _term_matrices(h)
     for _ in range(steps):
-        for c, s in h.terms:
-            psi = _apply_pauli_exponential(c, s, half, psi)
-        for c, s in reversed(h.terms):
-            psi = _apply_pauli_exponential(c, s, half, psi)
+        for c, pt in terms:
+            psi = _apply_pauli_exponential(c, pt, half, psi)
+        for c, pt in reversed(terms):
+            psi = _apply_pauli_exponential(c, pt, half, psi)
     return StateVector(psi)
 
 
@@ -290,20 +281,6 @@ def _evolve(
     if evolver == "trotter2":
         return trotter2_evolve(h, t, trotter_steps, state)
     raise ValueError(f"unknown evolver {evolver!r}")
-
-
-def _controlled_site1(letter: str, psi: np.ndarray) -> np.ndarray:
-    """Apply X or Y on site qubit 1, controlled on the ancilla (MSB), to each row."""
-    # axes (ancilla, site 1, site 2): site 1 flips in the ancilla-1 half
-    shape = psi.shape[:-1] + (2, 2, 2)
-    block = psi.reshape(shape)[..., 1, ::-1, :]
-    if letter == "Y":
-        block = block * np.array([[-1.0j], [1.0j]])
-    elif letter != "X":
-        raise ValueError(f"controlled Pauli must be X or Y, got {letter!r}")
-    out = psi.copy()
-    out.reshape(shape)[..., 1, :, :] = block
-    return out
 
 
 def _ancilla_p0(psi: np.ndarray, basis: str) -> np.ndarray:
@@ -369,7 +346,7 @@ def _evolved_probe(
     psi[:4] = gs.amplitudes
     # Hadamard on the ancilla
     psi = np.concatenate([(psi[:4] + psi[4:]), (psi[:4] - psi[4:])]) / np.sqrt(2.0)
-    psi = _controlled_site1(alpha, psi)
+    psi = psi @ _CONTROLLED_SITE1_T[alpha]
     return _evolve(h_eff, times, StateVector(psi), evolver, trotter_steps).amplitudes
 
 
@@ -396,7 +373,7 @@ def hadamard_test(
         raise ValueError("alpha and beta must be 'X' or 'Y'")
     times = _times(t)
     psi = _evolved_probe(h_eff, gs, alpha, times, evolver, trotter_steps)
-    psi = _controlled_site1(beta, psi)
+    psi = psi @ _CONTROLLED_SITE1_T[beta]
     tag = _COMBO_TAGS[(alpha, beta)]
     e_z = _estimate(_ancilla_p0(psi, "z"), shot, times, 2 * tag)
     e_minus_y = _estimate(_ancilla_p0(psi, "y"), shot, times, 2 * tag + 1)
@@ -450,27 +427,31 @@ def green_general(
     for alpha in ("X", "Y"):
         psi = _evolved_probe(h_eff, gs, alpha, times, evolver, trotter_steps)
         for beta in ("X", "Y"):
-            p0 = _ancilla_p0(_controlled_site1(beta, psi), "z")
+            p0 = _ancilla_p0(psi @ _CONTROLLED_SITE1_T[beta], "z")
             e_z[alpha + beta] = _estimate(p0, shot, times, 2 * _COMBO_TAGS[(alpha, beta)])
     return _like(t, _complex(e_z["XX"] + e_z["YY"], e_z["YX"] - e_z["XY"]))
 
 
-def spectral_oracle(params: ModelParams, prune: float = 1e-12) -> LineSpectrum:
+# oracle pole weights below this are dropped
+_ORACLE_PRUNE = 1e-12
+
+
+def spectral_oracle(params: ModelParams) -> LineSpectrum:
     """Exact pole table by diagonalizing the excited-sector Hamiltonian.
 
     Expands X_1 |GS> in the eigenbasis: each distinct excitation energy
     E_l - E_0 becomes one pole with weight sum |a_l|^2 over the (possibly
     degenerate) eigenspace, and z_expect the weight-averaged Z_1 expectation.
-    Components below ``prune`` are dropped.
+    Poles with weight below ``_ORACLE_PRUNE`` are dropped.
     """
     h_gs, h_ex, _ = build_hamiltonians(params)
     gs = prepare_ground_state(params)
-    e0 = ground_energy(h_gs)
+    e0 = float(_eigendecomposition(h_gs)[0][0])
     w, v = _eigendecomposition(h_ex)
-    psi = _ps("XI").apply(gs.amplitudes)
+    psi = _ps("XI").matrix() @ gs.amplitudes
     coeffs = v.conj().T @ psi
     weights = np.abs(coeffs) ** 2
-    z_psi = _ps("ZI").apply(psi)
+    z_psi = _ps("ZI").matrix() @ psi
 
     groups: dict[float, list[int]] = {}
     for idx, energy in enumerate(w):
@@ -479,7 +460,7 @@ def spectral_oracle(params: ModelParams, prune: float = 1e-12) -> LineSpectrum:
     poles = []
     for _, idxs in sorted(groups.items()):
         weight = float(np.sum(weights[idxs]))
-        if weight < prune:
+        if weight < _ORACLE_PRUNE:
             continue
         omega = float(np.mean(w[idxs])) - e0
         # weight-averaged Z_1 expectation over the (degenerate) eigenspace
@@ -489,20 +470,20 @@ def spectral_oracle(params: ModelParams, prune: float = 1e-12) -> LineSpectrum:
     return LineSpectrum(tuple(poles), "physical")
 
 
-def mitigate_gate_error(
-    signal: TimeSignal, n_fit: int, reference: float = 1.0
-) -> tuple[TimeSignal, float]:
+def mitigate_gate_error(signal: TimeSignal, reference: float = 1.0) -> tuple[TimeSignal, float]:
     """Undo a uniform amplitude-damping factor using the known t=0 value.
 
     Gate errors are modeled as a flat rescaling 0 < alpha <= 1 of every pole
-    weight.  alpha is estimated as the mean magnitude of the first ``n_fit``
-    samples divided by the known noiseless value at t = 0 (one for the
-    one-sided assembly, two for the two-sided one), clamped to (0, 1], and
-    divided out of every sample.
+    weight.  alpha is estimated as the magnitude of the sample at t = 0
+    divided by its known noiseless value (one for the one-sided assembly,
+    two for the two-sided one), clamped to (0, 1], and divided out of every
+    sample.  A grid with no sample at t = 0 is rejected.
     """
-    if n_fit < 1 or n_fit > signal.grid.n:
-        raise ValueError("n_fit must be in 1..n")
-    alpha = float(np.mean(np.abs(signal.samples[:n_fit]))) / reference
+    times = signal.grid.times()
+    k = int(np.argmin(np.abs(times)))
+    if abs(times[k]) > 1e-6 * signal.grid.dt:  # beyond rounding of t0 + k dt
+        raise ValueError(f"mitigation needs a sample at t = 0; the nearest is at t = {times[k]}")
+    alpha = float(np.abs(signal.samples[k])) / reference
     if not np.isfinite(alpha) or alpha <= 0.0:
         raise ValueError(f"gate-error scale estimate {alpha} is not usable")
     alpha = min(alpha, 1.0)

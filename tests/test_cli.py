@@ -70,6 +70,21 @@ class TestSimulateCommand:
         assert "bad config" in capsys.readouterr().err
         assert not (tmp_path / "signal.json").exists()
 
+    @pytest.mark.parametrize(
+        "section, field",
+        [
+            ({"signal": {"n": "abc", "t_max": 0.3}}, "signal.n"),
+            ({"model": {"u": "x", "v": 0.7}}, "model.u"),
+            ({"signal": {"t_max": True}}, "signal.t_max"),
+            ({"signal": {"shots": 0.5}}, "signal.shots"),
+        ],
+    )
+    def test_wrong_value_type_is_usage_error(self, tmp_path, capsys, section, field):
+        cfg = write_config(tmp_path / "cfg.json", **section)
+        assert main(["oracle", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert "bad config" in err and field in err
+
     @pytest.mark.parametrize("data", [[], {"method": []}])
     def test_non_object_config_is_usage_error(self, tmp_path, capsys, data):
         cfg = tmp_path / "cfg.json"

@@ -28,6 +28,7 @@ from greenspec.qsim import (
     build_hamiltonians,
     green_general,
     green_sym,
+    mitigate_gate_error,
     prepare_ground_state,
 )
 from greenspec.spectrum import (
@@ -183,6 +184,18 @@ class TestReconstruct:
         damped = TimeSignal(signal.grid, 0.8 * signal.samples, signal.domain)
         out = reconstruct(damped, cfg, "anm", mitigate=True)
         assert out.epsilon < 1e-3
+
+    def test_mitigation_reads_two_sided_signal_at_time_zero(self):
+        # t = 0 is sample 20 of 41, where the noiseless two-sided signal is 2
+        cfg = ExperimentConfig(
+            signal=SignalConfig(evolver="exact", t0=-0.5, t_max=0.5, n=41, use_sym=False)
+        )
+        signal = simulate_signal(cfg)
+        _, alpha = mitigate_gate_error(signal, reference=2.0)
+        assert alpha == pytest.approx(1.0, abs=1e-12)
+        plain = reconstruct(signal, cfg, "dft").epsilon
+        mitigated = reconstruct(signal, cfg, "dft", mitigate=True).epsilon
+        assert mitigated == pytest.approx(plain, rel=1e-8)
 
     def test_unknown_method_rejected(self):
         cfg = ExperimentConfig(signal=SignalConfig(t_max=0.3, n=8))
@@ -448,6 +461,15 @@ class TestConfigParsing:
     def test_non_object_rejected(self, data):
         with pytest.raises(ValueError, match="must be an object"):
             ExperimentConfig.from_dict(data)
+
+    def test_int_for_float_and_null_for_none_accepted(self):
+        data = {
+            "model": {"u": 4, "v": 1},
+            "signal": {"t0": -1, "t_max": 1, "n": None, "shots": None, "sigma": 0},
+            "method": {"anm": {"tau": 1, "tol": 1}, "dft": {"stop_fraction": 0.1}},
+        }
+        cfg = ExperimentConfig.from_dict(data)
+        assert (cfg.model.u, cfg.signal.t_max, cfg.signal.n, cfg.anm.tau) == (4, 1, None, 1)
 
     @pytest.mark.parametrize("t_max", [0.0, -0.2])
     def test_empty_window_rejected(self, t_max):

@@ -46,12 +46,15 @@ class TestPauliAlgebra:
         s = PauliString(("Z", "X", "Y"))
         np.testing.assert_allclose(s.matrix(), kron(SZ, SX, SY), atol=1e-15)
 
-    def test_apply_matches_matrix(self):
+    def test_controlled_gates_match_kron_blocks(self):
+        # ancilla (MSB) |1><1| selects sigma on site 1, |0><0| leaves the row alone
+        p0, p1 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
         rng = np.random.default_rng(0)
-        for letters in [("X",), ("Y", "Z"), ("Z", "X", "Y"), ("I", "Y", "I")]:
-            s = PauliString(letters)
-            psi = random_state(rng, 2 ** len(letters)).amplitudes
-            np.testing.assert_allclose(s.apply(psi), s.matrix() @ psi, atol=1e-13)
+        rows = np.array([random_state(rng, 8).amplitudes for _ in range(3)])
+        for letter, sigma in (("X", SX), ("Y", SY)):
+            c = kron(p0, I2, I2) + kron(p1, sigma, I2)
+            got = rows @ qsim._CONTROLLED_SITE1_T[letter]
+            np.testing.assert_allclose(got, (c @ rows.T).T, atol=1e-15)
 
     def test_invalid_letter_rejected(self):
         with pytest.raises(ValueError):
@@ -173,6 +176,23 @@ class TestEvolvers:
         exact = exact_evolve(h, 1.9, psi)
         trotter = trotter2_evolve(h, 1.9, 1, psi)
         np.testing.assert_allclose(trotter.amplitudes, exact.amplitudes, atol=1e-12)
+
+    @pytest.mark.parametrize("steps", [1, 2, 3])
+    def test_trotter2_matches_expm_product(self, steps):
+        # per step: each term's exponential at half the step in term order,
+        # then again in reversed order
+        _, _, h_eff = build_hamiltonians(PARAMS)
+        rng = np.random.default_rng(9)
+        psi = random_state(rng, 8)
+        times = np.array([0.3, -0.7, 1.9])
+        got = trotter2_evolve(h_eff, times, steps, psi).amplitudes
+        for t, row in zip(times, got):
+            half = [expm(-1j * c * s.matrix() * t / steps / 2) for c, s in h_eff.terms]
+            step = np.eye(8)
+            for factor in half + half[::-1]:
+                step = factor @ step
+            expected = np.linalg.matrix_power(step, steps) @ psi.amplitudes
+            np.testing.assert_allclose(row, expected, rtol=0, atol=1e-13)
 
     def test_second_order_scaling(self):
         _, _, h_eff = build_hamiltonians(PARAMS)
@@ -438,13 +458,13 @@ class TestGateErrorMitigation:
 
     def test_unscaled_signal_untouched(self):
         signal = self._signal()
-        out, alpha = mitigate_gate_error(signal, n_fit=1)
+        out, alpha = mitigate_gate_error(signal)
         assert alpha == pytest.approx(1.0, abs=1e-12)
         np.testing.assert_allclose(out.samples, signal.samples, atol=1e-12)
 
     def test_recovers_damping_factor(self):
         signal = self._signal(scale=0.8)
-        out, alpha = mitigate_gate_error(signal, n_fit=1)
+        out, alpha = mitigate_gate_error(signal)
         assert alpha == pytest.approx(0.8, abs=1e-10)
         np.testing.assert_allclose(out.samples, self._signal().samples, atol=1e-10)
 
@@ -455,16 +475,33 @@ class TestGateErrorMitigation:
         shot = ShotConfig(shots=100000, seed=12)
         samples = np.array([green_sym(h_eff, gs, t, shot=shot) for t in ts])
         signal = TimeSignal(SamplingGrid(0.0, 16, ts[1] - ts[0]), samples, "physical")
-        _, alpha = mitigate_gate_error(signal, n_fit=1)
+        _, alpha = mitigate_gate_error(signal)
         assert abs(alpha - 1.0) < 0.03
 
     def test_amplifying_estimate_clamped(self):
         signal = self._signal(scale=1.2)
-        _, alpha = mitigate_gate_error(signal, n_fit=1)
+        _, alpha = mitigate_gate_error(signal)
         assert alpha == 1.0
 
     def test_dead_signal_rejected(self):
         grid = SamplingGrid(0.0, 4, 0.1)
         signal = TimeSignal(grid, np.zeros(4), "physical")
-        with pytest.raises(ValueError):
-            mitigate_gate_error(signal, n_fit=2)
+        with pytest.raises(ValueError, match="not usable"):
+            mitigate_gate_error(signal)
+
+    def test_two_sided_grid_reads_sample_at_time_zero(self):
+        # t = 0 is sample 20 of 41; the first sample, at t = -0.5, has |G| < 2
+        _, _, h_eff = build_hamiltonians(PARAMS)
+        gs = prepare_ground_state(PARAMS)
+        grid = SamplingGrid(-0.5, 41, 0.025)
+        signal = TimeSignal(grid, 0.7 * green_general(h_eff, gs, grid.times()), "physical")
+        out, alpha = mitigate_gate_error(signal, reference=2.0)
+        assert alpha == pytest.approx(0.7, abs=1e-12)
+        np.testing.assert_allclose(out.samples, signal.samples / 0.7, atol=1e-12)
+
+    @pytest.mark.parametrize("t0", [0.2, -0.51])
+    def test_grid_without_time_zero_rejected(self, t0):
+        grid = SamplingGrid(t0, 41, 0.025)
+        signal = TimeSignal(grid, np.ones(41), "physical")
+        with pytest.raises(ValueError, match="sample at t = 0"):
+            mitigate_gate_error(signal)
