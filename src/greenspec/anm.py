@@ -69,8 +69,8 @@ class AnmConfig:
         if isinstance(self.tau, str):
             if self.tau not in ("auto", "path", "ladder"):
                 raise ValueError("tau must be a number, 'auto', 'path', or 'ladder'")
-        elif self.tau <= 0:
-            raise ValueError("tau must be positive")
+        elif not 0.0 < self.tau < math.inf:
+            raise ValueError("tau must be a positive finite number")
         if self.max_iters < 1:
             raise ValueError("max_iters must be positive")
         if not 0.0 < self.tol < math.inf:
@@ -163,8 +163,8 @@ def _assemble(u: np.ndarray, x: np.ndarray, t: float, q: np.ndarray) -> np.ndarr
     return q
 
 
-def _psd_project(s: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Project onto the PSD cone; symmetrizes ``s`` in place first."""
+def _psd_project(s: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Project onto the PSD cone into ``out``; symmetrizes ``s`` in place first."""
     s += s.conj().T
     s *= 0.5
     w, v = np.linalg.eigh(s)
@@ -214,7 +214,9 @@ def _admm(
     w_h = np.empty_like(w)  # conjugate transpose of w, for the symmetrization
     big_z, big_u = w
     x = y.copy()
-    if warm is not None and warm.z_state is not None and warm.z_state.shape == (n + 1, n + 1):
+    if warm is not None and warm.z_state is not None:
+        if warm.z_state.shape != (n + 1, n + 1):
+            raise ValueError(f"warm start has {len(warm.z_state) - 1} samples, the data {n}")
         rho = warm.rho_state
         big_z[...] = warm.z_state
         np.divide(warm.lambda_state, rho, out=big_u)
@@ -331,8 +333,8 @@ def atomic_denoise(
     ``config.tau`` must be a number; the string policies are resolved by the
     pipeline, and passing one here raises ValueError.  The problem is solved
     in units of ||y|| and rescaled back, so tolerances behave uniformly
-    across signal magnitudes.  A prior solution for the same data at a
-    nearby tau can be passed as ``warm`` to shortcut convergence.
+    across signal magnitudes.  A ``warm`` prior solve of the same data at a
+    nearby tau shortcuts convergence; one of another length raises ValueError.
     """
     if y.domain != "canonical":
         raise ValueError("atomic_denoise expects a canonical-domain signal")
@@ -376,18 +378,17 @@ def atomic_denoise(
     )
 
 
-def atomic_norm(x: TimeSignal, config: AnmConfig | None = None) -> float:
+def atomic_norm(x: TimeSignal) -> float:
     """Value of the semidefinite characterization of ||x||_A."""
     if x.domain != "canonical":
         raise ValueError("atomic_norm expects a canonical-domain signal")
     samples = np.asarray(x.samples, dtype=complex)
     if len(samples) < 2:
         raise ValueError("need at least two samples")
-    config = config or AnmConfig()
     scale = float(np.linalg.norm(samples))
     if scale == 0.0:
         return 0.0
-    sol = _admm(samples / scale, 1.0, config, fix_x=True)
+    sol = _admm(samples / scale, 1.0, AnmConfig(), fix_x=True)
     return sol.atomic_norm_value * scale
 
 

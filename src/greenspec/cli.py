@@ -22,7 +22,6 @@ import numpy as np
 
 from . import anm, pipeline
 from .spectrum import (
-    PHYSICAL,
     TimeSignal,
     dump_json,
     load_json,
@@ -64,6 +63,21 @@ def _apply_seed(config: pipeline.ExperimentConfig, seed: int | None) -> pipeline
     return replace(config, signal=replace(config.signal, seed=seed))
 
 
+def _seed(text: str) -> int:
+    """argparse type: a seed, which numpy takes only as a non-negative integer."""
+    if not text.strip().isdecimal():
+        raise argparse.ArgumentTypeError(f"a seed is a non-negative integer, not {text!r}")
+    return int(text)
+
+
+def _comma_list(kind):
+    """argparse type: a comma-separated list of ``kind`` values."""
+    def parse(text: str) -> list:
+        return [kind(v) for v in text.split(",")]
+    parse.__name__ = f"comma-separated {kind.__name__}"  # argparse names the type in errors
+    return parse
+
+
 def _retarded(signal: TimeSignal, factor: complex) -> TimeSignal:
     """Multiply a non-negative-time signal by ``factor``.
 
@@ -101,7 +115,7 @@ def cmd_simulate(args) -> int:
 def cmd_reconstruct(args) -> int:
     config = _apply_seed(_load_config(args.config), args.seed)
     try:
-        signal = signal_from_json(load_json(args.signal), PHYSICAL)
+        signal = signal_from_json(load_json(args.signal))
     except (OSError, json.JSONDecodeError, KeyError) as exc:
         raise _IoError(f"cannot read signal {args.signal}: {exc}") from exc
     if args.convention == "retarded":
@@ -111,7 +125,7 @@ def cmd_reconstruct(args) -> int:
     for method in methods:
         out = pipeline.reconstruct(signal, config, method, mitigate=args.mitigate)
         if not math.isfinite(out.epsilon):
-            raise _NumericError(f"{method} reconstruction produced non-finite error")
+            raise ValueError(f"{method} reconstruction produced non-finite error")
         dump_json(
             spectrum_to_json(out.spectrum),
             os.path.join(args.out, f"spectrum_{method}.json"),
@@ -143,17 +157,11 @@ def cmd_reconstruct(args) -> int:
     return EXIT_OK
 
 
-class _NumericError(Exception):
-    pass
-
-
 def cmd_sweep(args) -> int:
     config = _apply_seed(_load_config(args.config), args.seed)
-    t_max_list = [float(v) for v in args.t_max.split(",")]
-    seeds = [int(v) for v in args.seeds.split(",")]
     methods = ("anm", "dft") if args.method == "both" else (args.method,)
     variants = tuple(args.variant) if args.variant else None
-    cells = pipeline.run_sweep(config, t_max_list, seeds, methods=methods, variants=variants)
+    cells = pipeline.run_sweep(config, args.t_max, args.seeds, methods=methods, variants=variants)
     os.makedirs(args.out, exist_ok=True)
     csv_path = os.path.join(args.out, "sweep.csv")
     with open(csv_path, "w") as fh:
@@ -187,26 +195,27 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--config", help="experiment config JSON")
-        p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        p.add_argument("--quiet", action="store_true")
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", help="experiment config JSON")
+    common.add_argument("--quiet", action="store_true")
+    writes = argparse.ArgumentParser(add_help=False, parents=[common])
+    writes.add_argument("--out", default=".", help="output directory")
+    writes.add_argument("--seed", type=_seed, default=None, help="override the config seed")
 
     convention_help = (
         "signal file convention: bare exponential sum (gtilde) or with the "
         "retarded -i theta(t) prefactor attached"
     )
 
-    p_sim = sub.add_parser("simulate", help="sample the Green's function")
-    common(p_sim)
+    p_sim = sub.add_parser("simulate", parents=[writes], help="sample the Green's function")
     p_sim.add_argument(
         "--convention", choices=("gtilde", "retarded"), default="gtilde", help=convention_help
     )
     p_sim.set_defaults(func=cmd_simulate)
 
-    p_rec = sub.add_parser("reconstruct", help="reconstruct a spectrum from a signal file")
-    common(p_rec)
+    p_rec = sub.add_parser(
+        "reconstruct", parents=[writes], help="reconstruct a spectrum from a signal file"
+    )
     p_rec.add_argument("signal", help="signal JSON produced by simulate")
     p_rec.add_argument("--method", choices=("anm", "dft", "both"), default="both")
     p_rec.add_argument(
@@ -217,10 +226,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_rec.set_defaults(func=cmd_reconstruct)
 
-    p_sweep = sub.add_parser("sweep", help="error versus window length")
-    common(p_sweep)
-    p_sweep.add_argument("--t-max", required=True, help="comma-separated window lengths")
-    p_sweep.add_argument("--seeds", default="0", help="comma-separated seeds")
+    p_sweep = sub.add_parser("sweep", parents=[writes], help="error versus window length")
+    p_sweep.add_argument(
+        "--t-max", type=_comma_list(float), required=True, help="comma-separated window lengths"
+    )
+    p_sweep.add_argument(
+        "--seeds", type=_comma_list(_seed), default=[0], help="comma-separated seeds"
+    )
     p_sweep.add_argument("--method", choices=("anm", "dft", "both"), default="both")
     p_sweep.add_argument(
         "--variant",
@@ -236,8 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_sweep.set_defaults(func=cmd_sweep)
 
-    p_oracle = sub.add_parser("oracle", help="print the exact pole table")
-    common(p_oracle)
+    p_oracle = sub.add_parser("oracle", parents=[common], help="print the exact pole table")
     p_oracle.set_defaults(func=cmd_oracle)
 
     return parser
@@ -257,7 +268,7 @@ def main(argv: list[str] | None = None) -> int:
     except _IoError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (_NumericError, FloatingPointError, np.linalg.LinAlgError, ValueError) as exc:
+    except (FloatingPointError, np.linalg.LinAlgError, ValueError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

@@ -51,13 +51,6 @@ def match_poles(truth: LineSpectrum, estimate: LineSpectrum) -> MatchReport:
         raise ValueError("spectra must share a domain")
     wt = truth.frequencies()
     we = estimate.frequencies()
-    if len(wt) == 0 or len(we) == 0:
-        return MatchReport(
-            pairs=(),
-            unmatched_true=tuple(range(len(wt))),
-            unmatched_est=tuple(range(len(we))),
-            epsilon=_epsilon(truth, estimate, ()),
-        )
     allfreq = np.concatenate([wt, we])
     span = float(allfreq.max() - allfreq.min())
     max_distance = np.inf if span == 0.0 else span / 4.0

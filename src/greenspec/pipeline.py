@@ -69,6 +69,16 @@ class SignalConfig:
             raise ValueError(f"unknown evolver {self.evolver!r}")
         if self.t_max is not None and not self.t_max > self.t0:
             raise ValueError(f"window needs t_max > t0, got t_max={self.t_max}, t0={self.t0}")
+        least_n = 2 if self.t_max is not None else 1  # t_max and n set dt = span/(n - 1)
+        for key, bound, ok in (
+            ("shots", ">= 1 when given", self.shots is None or self.shots >= 1),
+            ("trotter_steps", ">= 1", self.trotter_steps >= 1),
+            ("sigma", "finite and >= 0", 0.0 <= self.sigma < math.inf),
+            ("seed", ">= 0", self.seed >= 0),  # numpy takes no negative seed
+            ("n", f">= {least_n}", self.n is None or self.n >= least_n),
+        ):
+            if not ok:
+                raise ValueError(f"{key} must be {bound}, got {getattr(self, key)!r}")
 
 
 @dataclass(frozen=True)
@@ -127,8 +137,6 @@ def resolve_rescale_map(config: ExperimentConfig) -> RescaleMap:
     sig = config.signal
     if sig.t_max is not None and sig.n is not None:
         # oversampled grid: enlarge the padding so dt = span/(n-1) exactly
-        if sig.n < 2:
-            raise ValueError("oversampled grid needs n >= 2")
         return _map_with_bandwidth(config, (sig.n - 1) / (sig.t_max - sig.t0), sig.t0)
     omega_a, omega_b = _energy_window(config)
     return build_rescale_map(omega_a, omega_b, GAP_LINES, sig.t0)
@@ -173,10 +181,7 @@ def simulate_signal(config: ExperimentConfig) -> TimeSignal:
     shot = qsim.ShotConfig(shots=sig.shots, seed=sig.seed)
     green = qsim.green_sym if sig.use_sym else qsim.green_general
     samples = green(h_eff, gs, grid.times(), sig.evolver, sig.trotter_steps, shot)
-    signal = TimeSignal(grid, samples, PHYSICAL)
-    if sig.sigma > 0:
-        signal = add_noise(signal, sig.sigma, seed=sig.seed + 0x5EED)
-    return signal
+    return add_noise(TimeSignal(grid, samples, PHYSICAL), sig.sigma, seed=sig.seed + 0x5EED)
 
 
 def oracle_spectrum(config: ExperimentConfig) -> LineSpectrum:

@@ -65,9 +65,6 @@ class LineSpectrum:
     def frequencies(self) -> np.ndarray:
         return np.array([p.frequency for p in self.poles], dtype=float)
 
-    def amplitudes(self) -> np.ndarray:
-        return np.array([p.amplitude for p in self.poles], dtype=complex)
-
     def sorted_by_frequency(self) -> "LineSpectrum":
         return LineSpectrum(tuple(sorted(self.poles, key=lambda p: p.frequency)), self.domain)
 
@@ -169,24 +166,13 @@ def energy_bounds(hamiltonian) -> tuple[float, float]:
 
 
 def build_rescale_map(
-    omega_a: float,
-    omega_b: float,
-    n_peaks_min: int,
-    t0: float = 0.0,
-    delta_omega: float | None = None,
+    omega_a: float, omega_b: float, n_peaks_min: int, t0: float = 0.0
 ) -> RescaleMap:
-    """Construct the rescale map for the window [omega_a, omega_b].
-
-    The gap estimate defaults to (omega_b - omega_a)/(n_peaks_min - 1),
-    i.e. the widest possible spacing of n_peaks_min lines in the window.
-    Passing ``delta_omega`` overrides the estimate; larger values pad the
-    window further, which densifies the matching time grid.
-    """
-    if delta_omega is None:
-        if n_peaks_min < 2:
-            raise ValueError("gap estimate undefined for fewer than 2 peaks")
-        delta_omega = (omega_b - omega_a) / (n_peaks_min - 1)
-    return RescaleMap(omega_a, omega_b, delta_omega, t0)
+    """Rescale map for [omega_a, omega_b], padded by the gap estimate
+    (omega_b - omega_a)/(n_peaks_min - 1), the widest spacing of n_peaks_min lines."""
+    if n_peaks_min < 2:
+        raise ValueError("gap estimate undefined for fewer than 2 peaks")
+    return RescaleMap(omega_a, omega_b, (omega_b - omega_a) / (n_peaks_min - 1), t0)
 
 
 def to_canonical(signal: TimeSignal, rmap: RescaleMap) -> TimeSignal:
@@ -326,10 +312,10 @@ def signal_to_json(signal: TimeSignal) -> dict:
     }
 
 
-def signal_from_json(data: dict, domain: str = PHYSICAL) -> TimeSignal:
+def signal_from_json(data: dict) -> TimeSignal:
     grid = SamplingGrid(t0=float(data["t0"]), n=int(data["n"]), dt=float(data["dt"]))
     samples = np.array([complex(re, im) for re, im in data["samples"]])
-    return TimeSignal(grid, samples, domain)
+    return TimeSignal(grid, samples, PHYSICAL)
 
 
 def dump_json(obj, path) -> None:

@@ -51,6 +51,11 @@ class TestAnmConfig:
         with pytest.raises(ValueError, match="tol"):
             AnmConfig(tol=tol)
 
+    @pytest.mark.parametrize("tau", [0.0, -0.1, float("nan"), float("inf")])
+    def test_tau_must_be_positive_finite(self, tau):
+        with pytest.raises(ValueError, match="tau"):
+            AnmConfig(tau=tau)
+
 
 BLOCK_SIZES = (1, 2, 3, 8, 24, 47)
 
@@ -213,6 +218,12 @@ class TestDualityGap:
         sol = atomic_denoise(y, AnmConfig(tau=tau), warm=prior)
         assert sol.converged
         assert relative_duality_gap(y, sol) <= 1e-6
+
+    def test_warm_start_of_another_size_raises(self):
+        cfg = AnmConfig(tau=0.1)
+        prior = atomic_denoise(make_signal(12, [0.3], [1.0]), cfg)
+        with pytest.raises(ValueError, match="12 samples, the data 8"):
+            atomic_denoise(make_signal(8, [0.3], [1.0]), cfg, warm=prior)
 
 
 class TestDualPolynomial:

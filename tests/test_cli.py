@@ -1,4 +1,5 @@
 import json
+import math
 import os
 
 import numpy as np
@@ -28,6 +29,11 @@ class TestOracleCommand:
         assert "0.547457" in out
         assert "0.475410" in out
         assert "3.041470" in out
+
+    @pytest.mark.parametrize("option", [["--out", "out"], ["--seed", "5"]])
+    def test_output_options_are_usage_errors(self, option):
+        # oracle writes nothing and draws nothing, so it takes neither option
+        assert main(["oracle", *option]) == 1
 
     def test_config_names_one_solver_tolerance(self, tmp_path):
         # the residual tolerances are one "tol"; an old name is an unknown key
@@ -97,6 +103,25 @@ class TestSimulateCommand:
         cfg = write_config(tmp_path / "cfg.json", signal={"t_max": 0.0, "n": 5})
         assert main([*command, "--config", cfg, "--out", str(tmp_path)]) == 1
         assert "bad config" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "section, field",
+        [
+            ({"signal": {"t_max": 0.3, "shots": 0}}, "shots"),
+            ({"signal": {"t_max": 0.3, "trotter_steps": 0}}, "trotter_steps"),
+            ({"signal": {"t_max": 0.3, "sigma": -1.0}}, "sigma"),
+            ({"signal": {"n": 0}}, "n"),
+            ({"signal": {"t_max": 0.3, "n": 1}}, "n"),
+            ({"signal": {"t_max": 0.3, "shots": 100, "seed": -1}}, "seed"),
+            ({"method": {"anm": {"tau": math.nan}}}, "tau"),
+        ],
+    )
+    def test_out_of_range_value_is_usage_error(self, tmp_path, capsys, section, field):
+        cfg = write_config(tmp_path / "cfg.json", **section)
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert "bad config" in err and f"{field} must be" in err
+        assert not (tmp_path / "signal.json").exists()
 
     def test_missing_config_is_io_error(self, tmp_path):
         assert main(["simulate", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path)]) == 2
@@ -240,6 +265,15 @@ class TestSweepCommand:
         assert "(1 cells, 0 failed, 1 not converged)" in capsys.readouterr().out
         rows = (out / "sweep.csv").read_text().splitlines()
         assert rows[1].split(",")[-1] != "nan"
+
+    @pytest.mark.parametrize(
+        "flag, value", [("--t-max", "0.3,abc"), ("--seeds", "x"), ("--seeds", "0,-1")]
+    )
+    def test_malformed_list_is_usage_error(self, tmp_path, capsys, flag, value):
+        args = ["sweep", "--t-max", "0.3", "--method", "dft", "--out", str(tmp_path), flag, value]
+        assert main(args) == 1
+        assert f"argument {flag}" in capsys.readouterr().err
+        assert not (tmp_path / "sweep.csv").exists()
 
     def test_without_config(self, tmp_path):
         # the default config sets no window; the theory threshold needs none

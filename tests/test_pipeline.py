@@ -475,3 +475,20 @@ class TestConfigParsing:
     def test_empty_window_rejected(self, t_max):
         with pytest.raises(ValueError, match="t_max > t0"):
             SignalConfig(t_max=t_max, n=5)
+
+    @pytest.mark.parametrize(
+        "values, field",
+        [
+            ({"shots": 0}, "shots"),
+            ({"trotter_steps": 0}, "trotter_steps"),
+            ({"sigma": -1.0}, "sigma"),
+            ({"sigma": math.nan}, "sigma"),
+            ({"sigma": math.inf}, "sigma"),
+            ({"n": 0}, "n"),
+            ({"t_max": 0.3, "n": 1}, "n"),  # an oversampled grid spaces samples span/(n - 1)
+            ({"seed": -1}, "seed"),
+        ],
+    )
+    def test_out_of_range_signal_value_rejected(self, values, field):
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            SignalConfig(**values)

@@ -9,6 +9,7 @@ from greenspec.spectrum import (
     PHYSICAL,
     LineSpectrum,
     Pole,
+    RescaleMap,
     SamplingGrid,
     TimeSignal,
     add_noise,
@@ -84,7 +85,7 @@ class TestRescaleMap:
             build_rescale_map(-1.0, 1.0, 1)
 
     def test_delta_omega_override(self):
-        rmap = build_rescale_map(-1.0, 1.0, 4, delta_omega=10.0)
+        rmap = RescaleMap(-1.0, 1.0, 10.0, 0.0)
         assert rmap.delta_omega == 10.0
         assert rmap.omega_max == pytest.approx(12.0 / TWO_PI)
 
@@ -98,7 +99,7 @@ class TestCanonicalMaps:
 
     def test_zero_phase_shift_leaves_samples(self):
         # phi = 0 requires the padded window to start at zero
-        rmap = build_rescale_map(0.5, 2.0, 2, delta_omega=1.0)
+        rmap = RescaleMap(0.5, 2.0, 1.0, 0.0)
         assert rmap.phi == pytest.approx(0.0, abs=1e-13)
         grid = SamplingGrid(t0=0.0, n=8, dt=rmap.dt)
         spec = LineSpectrum((Pole(0.7 + 0j, 1.1),), PHYSICAL)
