@@ -11,6 +11,13 @@ Each unmatched true pole contributes as if estimated by nothing (its full
 denominator weight enters the numerator); each unmatched estimated pole
 contributes its own magnitude.  The functional is zero exactly for a perfect
 full matching and invariant under joint amplitude rescaling.
+
+Pairs farther apart than a quarter of the joint frequency span are gated
+out, and the gate acts inside the assignment: an out-of-gate pair costs more
+than all in-gate pairs together, so the assignment keeps as many in-gate
+pairs as it can and only then minimizes their total distance.  A tie in
+total distance between a pairing that the gate cuts and one that it keeps
+whole is therefore not settled by rounding.
 """
 
 from __future__ import annotations
@@ -44,8 +51,9 @@ class MatchReport:
 def match_poles(truth: LineSpectrum, estimate: LineSpectrum) -> MatchReport:
     """Minimum-cost assignment of estimated poles to true poles.
 
-    Cost is |w_l - w_hat_m|; assignments farther apart than a quarter of the
-    joint frequency span are rejected to the unmatched lists.
+    Cost is |w_l - w_hat_m|; pairs farther apart than a quarter of the joint
+    frequency span cost more than every in-gate pair together, and any such
+    pair the assignment still makes is rejected to the unmatched lists.
     """
     if truth.domain != estimate.domain:
         raise ValueError("spectra must share a domain")
@@ -55,10 +63,9 @@ def match_poles(truth: LineSpectrum, estimate: LineSpectrum) -> MatchReport:
     span = float(allfreq.max() - allfreq.min())
     max_distance = np.inf if span == 0.0 else span / 4.0
     cost = np.abs(wt[:, None] - we[None, :])
-    rows, cols = linear_sum_assignment(cost)
-    pairs = tuple(
-        (int(r), int(c)) for r, c in zip(rows, cols) if cost[r, c] <= max_distance
-    )
+    in_gate = cost <= max_distance
+    rows, cols = linear_sum_assignment(np.where(in_gate, cost, 1.0 + cost[in_gate].sum()))
+    pairs = tuple((int(r), int(c)) for r, c in zip(rows, cols) if in_gate[r, c])
     return MatchReport(
         pairs=pairs,
         unmatched_true=tuple(i for i in range(len(wt)) if i not in {p[0] for p in pairs}),

@@ -48,6 +48,30 @@ class TestMatchPoles:
         assert 1 in report.unmatched_true
         assert 1 in report.unmatched_est
 
+    def test_gate_decides_before_assignment(self):
+        # the estimates at -4.9957 and -3.4413 both lie below the true poles
+        # at -3.0415 and -0.5475, so both ways of pairing those four tie in
+        # total distance; assigning on the ungated distance let rounding pair
+        # -3.0415 with -4.9957 (eps 0.6504), which cost the pair the gate
+        # (2.020) then dropped, while three in-gate pairs were possible
+        truth = spec(
+            (0.47541010444922405, -3.041470123567383),
+            (0.5245898955507757, -0.5474572928064823),
+            (0.5245898955507757, 0.5474572928064823),
+            (0.47541010444922405, 3.041470123567383),
+        )
+        est = spec(
+            (0.092526834475172, -4.995714493941825),
+            (0.536499820463185, -3.441335204924829),
+            (1.0514774735067396, -0.05883436042010748),
+            (0.50477749388247, 3.0850236819538903),
+        )
+        report = match_poles(truth, est)
+        assert report.pairs == ((0, 1), (1, 2), (3, 3))
+        assert report.unmatched_true == (2,)
+        assert report.unmatched_est == (0,)
+        assert report.epsilon == pytest.approx(0.3638, abs=1e-4)
+
     def test_empty_estimate(self):
         report = match_poles(TRUTH, LineSpectrum((), PHYSICAL))
         assert report.pairs == ()
