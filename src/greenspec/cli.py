@@ -16,6 +16,7 @@ import json
 import math
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
 
 import numpy as np
@@ -43,10 +44,17 @@ def _load_config(path: str | None) -> pipeline.ExperimentConfig:
         data = load_json(path)
     except (OSError, json.JSONDecodeError) as exc:
         raise _IoError(f"cannot read config {path}: {exc}") from exc
-    try:
+    with _bad_config(path):
         return pipeline.ExperimentConfig.from_dict(data)
+
+
+@contextmanager
+def _bad_config(path: str | None):
+    """Report a config the block rejects as a usage error, not a numeric failure."""
+    try:
+        yield
     except (TypeError, ValueError) as exc:
-        raise _UsageError(f"bad config {path}: {exc}") from exc
+        raise _UsageError(f"bad config {path or '(defaults)'}: {exc}") from exc
 
 
 class _UsageError(Exception):
@@ -90,6 +98,8 @@ def _retarded(signal: TimeSignal, factor: complex) -> TimeSignal:
 
 def cmd_simulate(args) -> int:
     config = _apply_seed(_load_config(args.config), args.seed)
+    with _bad_config(args.config):  # a config with no extent, or too coarse a one
+        pipeline.resolve_grid(config, pipeline.resolve_rescale_map(config))
     signal = pipeline.simulate_signal(config)
     if args.convention == "retarded":
         signal = _retarded(signal, -1j)
@@ -118,6 +128,8 @@ def cmd_reconstruct(args) -> int:
         signal = signal_from_json(load_json(args.signal))
     except (OSError, json.JSONDecodeError, KeyError) as exc:
         raise _IoError(f"cannot read signal {args.signal}: {exc}") from exc
+    with _bad_config(args.config):  # the model's energy range must fit the file's sampling
+        pipeline.rescale_map_for_grid(config, signal.grid)
     if args.convention == "retarded":
         signal = _retarded(signal, 1j)
     os.makedirs(args.out, exist_ok=True)

@@ -15,10 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectrum import CANONICAL, LineSpectrum, Pole, TimeSignal, _golden_min, _wrap_distance
+from .spectrum import CANONICAL, LineSpectrum, Pole, TimeSignal, _wrap_distance
 
 _FIT_HALFWIDTH = 3  # bins on either side of the argmax that a peak's kernel is fitted to
 _REFIT_ROUNDS = 6  # coordinate re-fit sweeps after the greedy pass
+_ZOOM = np.linspace(-1.0, 1.0, 33)  # a fit level's candidates, spaced 1/16 of its half-width
+_ZOOM_LEVELS = 10  # the last level's candidates lie 16**-10 of a padded bin apart
 
 
 @dataclass(frozen=True)
@@ -50,11 +52,14 @@ def dirichlet_kernel(delta: np.ndarray, n: int) -> np.ndarray:
     counterpart of the sinc shape, and exactly n at delta = 0 (mod 1).
     """
     delta = np.asarray(delta, dtype=float)
+    return np.exp(1j * np.pi * delta * (n - 1)) * _dirichlet_ratio(delta, n)
+
+
+def _dirichlet_ratio(delta: np.ndarray, n: int) -> np.ndarray:
+    """The real factor sin(pi n delta)/sin(pi delta) of the kernel, n where it is 0/0."""
     num = np.sin(np.pi * n * delta)
     den = np.sin(np.pi * delta)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        mag = np.where(np.abs(den) < 1e-15, float(n), num / den)
-    return np.exp(1j * np.pi * delta * (n - 1)) * mag
+    return np.divide(num, den, out=np.full(np.shape(num), float(n)), where=np.abs(den) >= 1e-15)
 
 
 def padded_spectrum(y: TimeSignal, config: DftConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -78,28 +83,56 @@ def _fit_peak(residual: np.ndarray, k_max: int, n: int, total: int) -> tuple[com
 
     The frequency is searched within one padded bin of the argmax; for each
     candidate the best amplitude is the closed-form projection onto the
-    kernel restricted to the _FIT_HALFWIDTH bins on either side.
+    kernel restricted to the _FIT_HALFWIDTH bins on either side.  Each zoom
+    level scores its 33 candidates in one array and centres the next, 16
+    times narrower, level on the best of them.
     """
-    window = (k_max + np.arange(-_FIT_HALFWIDTH, _FIT_HALFWIDTH + 1)) % total
-    data = residual[window]
-    grid_f = window / total
+    offsets = np.arange(-_FIT_HALFWIDTH, _FIT_HALFWIDTH + 1)
+    bins = offsets / total  # the kernel is 1-periodic, so these need no wrapping
+    # with f = k_max/total + u, the kernel at bin offset b is
+    # exp(i pi (n-1) (u - b)) times the real _dirichlet_ratio(u - b); its
+    # phase splits into one per bin, taken off the data here, and one per
+    # candidate, which the amplitude absorbs
+    data = residual[(k_max + offsets) % total] * np.exp(1j * np.pi * (n - 1) * bins)
+    data = data.view(float).reshape(-1, 2)  # (bin, [re, im])
+    u, half = 0.0, 1.0 / total
+    for _ in range(_ZOOM_LEVELS):
+        cands = u + half * _ZOOM
+        kernel = _dirichlet_ratio(cands[:, None] - bins, n)
+        amp = (kernel @ data) / np.einsum("ij,ij->i", kernel, kernel)[:, None]
+        err = data - amp[:, None, :] * kernel[:, :, None]
+        best = np.einsum("ijk,ijk->i", err, err).argmin()
+        u, half = cands[best], half / 16.0
+    amp_best = complex(amp[best, 0], amp[best, 1]) * np.exp(-1j * np.pi * (n - 1) * u)
+    return amp_best, (k_max / total + u) % 1.0
 
-    def score(f: float) -> tuple[float, complex]:
-        kernel = dirichlet_kernel(f - grid_f, n)
-        denom = float(np.real(np.vdot(kernel, kernel)))
-        amp = np.vdot(kernel, data) / denom
-        resid = float(np.linalg.norm(data - amp * kernel) ** 2)
-        return resid, amp
 
-    lo = (k_max - 1.0) / total
-    hi = (k_max + 1.0) / total
-    # coarse scan then golden-section polish on the windowed fit residual
-    coarse = np.linspace(lo, hi, 33)
-    best_f = float(coarse[int(np.argmin([score(f)[0] for f in coarse]))])
-    span = (hi - lo) / 32.0
-    f_hat = _golden_min(lambda f: score(f)[0], best_f - span, best_f + span, 60)
-    amp = score(f_hat)[1]
-    return amp, f_hat % 1.0
+def _atom(peak: tuple[complex, float], n: int, turn: np.ndarray) -> np.ndarray:
+    """amp * dirichlet_kernel(f - k/total, n) on every padded bin k, from turn_k = exp(i pi k/total).
+
+    With x = f - k/total, k = q pad + r and theta_r = pi n f - pi r/pad,
+    sin(pi n x) = (-1)^q sin(theta_r) and exp(i pi (n-1) x) =
+    (-1)^q exp(i (theta_r - pi f)) turn_k.  The signs cancel, so the kernel
+    is a pad-long row times turn_k over sin(pi x) = sin(pi f) Re turn_k -
+    cos(pi f) Im turn_k, with no sine or exponential per bin.
+    """
+    amp, f = peak
+    total = len(turn)
+    pad = total // n
+    k0 = round(f * total)
+    # theta_r = pi n (f - k0/total) + pi (k0 - r)/pad, with k0 - r reduced mod 2 pad
+    theta = np.pi * (((k0 - np.arange(pad)) % (2 * pad)) / pad + n * (f - k0 / total))
+    row = amp * np.exp(1j * (theta - np.pi * f)) * np.sin(theta)
+    den = np.sin(np.pi * f) * turn.real
+    den -= np.cos(np.pi * f) * turn.imag
+    # within pad bins of f the expanded denominator loses digits to
+    # cancellation (and vanishes on grid), so those bins are evaluated directly
+    close = (k0 + np.arange(-pad, pad + 1)) % total
+    den[close] = 1.0
+    out = (turn.reshape(n, pad) * row).reshape(total)
+    out /= den
+    out[close] = amp * dirichlet_kernel(f - close / total, n)
+    return out
 
 
 def extract_peaks_clean(y: TimeSignal, config: DftConfig) -> LineSpectrum:
@@ -116,17 +149,14 @@ def extract_peaks_clean(y: TimeSignal, config: DftConfig) -> LineSpectrum:
     n = y.grid.n
     total = config.pad_factor * n
     residual = np.fft.fft(y.samples, total)
-    all_k = np.arange(total)
     first_peak = float(np.max(np.abs(residual)))
     if first_peak == 0.0:
         return LineSpectrum((), CANONICAL)
-
-    def atom(peak: tuple[complex, float]) -> np.ndarray:
-        return peak[0] * dirichlet_kernel(peak[1] - all_k / total, n)
+    turn = np.exp(1j * np.pi * np.arange(total) / total)  # the atoms' one table
 
     def peel(residual: np.ndarray) -> tuple[np.ndarray, tuple[complex, float]]:
         peak = _fit_peak(residual, int(np.argmax(np.abs(residual))), n, total)
-        return residual - atom(peak), peak
+        return residual - _atom(peak, n, turn), peak
 
     found: list[tuple[complex, float]] = []
     for _ in range(config.max_peaks):
@@ -138,7 +168,7 @@ def extract_peaks_clean(y: TimeSignal, config: DftConfig) -> LineSpectrum:
     # leakage of the others still present in the greedy residual
     for _ in range(_REFIT_ROUNDS):
         for i, peak in enumerate(found):
-            residual, found[i] = peel(residual + atom(peak))
+            residual, found[i] = peel(residual + _atom(peak, n, turn))
     # merge duplicate fits of the same line before building the spectrum
     merged: list[tuple[complex, float]] = []
     for amp, f in found:

@@ -2,6 +2,9 @@
 
 import numpy as np
 
+from greenspec.dft import dirichlet_kernel
+from greenspec.spectrum import _golden_min
+
 
 def lasso_objective_oracle(y, tau, grid_size=4096, iters=4000):
     """Gridded l1 denoising (FISTA) as an independent upper bound.
@@ -30,3 +33,27 @@ def lasso_objective_oracle(y, tau, grid_size=4096, iters=4000):
         z = c_new + ((t_acc - 1.0) / t_new) * (c_new - c)
         c, t_acc = c_new, t_new
     return 0.5 * np.linalg.norm(a_mat @ c - y) ** 2 + tau * np.sum(np.abs(c))
+
+
+def windowed_misfit(residual, k_max, n, total, f, halfwidth=3):
+    """Least-squares misfit of one Dirichlet kernel at frequency f to the
+    2*halfwidth + 1 padded bins around k_max, and its best amplitude."""
+    window = (k_max + np.arange(-halfwidth, halfwidth + 1)) % total
+    data = residual[window]
+    kernel = dirichlet_kernel(f - window / total, n)
+    amp = np.vdot(kernel, data) / np.real(np.vdot(kernel, kernel))
+    return float(np.linalg.norm(data - amp * kernel) ** 2), amp
+
+
+def golden_peak_fit(residual, k_max, n, total):
+    """Scalar reference for the DFT peak fit: a 33-point scan of the misfit
+    over one padded bin either side of k_max, then 60 golden-section steps
+    around the best point.  Returns (amplitude, frequency mod 1)."""
+    def misfit(f):
+        return windowed_misfit(residual, k_max, n, total, f)[0]
+
+    coarse = np.linspace((k_max - 1.0) / total, (k_max + 1.0) / total, 33)
+    best = float(coarse[int(np.argmin([misfit(f) for f in coarse]))])
+    span = 2.0 / (32.0 * total)
+    f_hat = _golden_min(misfit, best - span, best + span, 60)
+    return windowed_misfit(residual, k_max, n, total, f_hat)[1], f_hat % 1.0

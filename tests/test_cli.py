@@ -126,6 +126,22 @@ class TestSimulateCommand:
     def test_missing_config_is_io_error(self, tmp_path):
         assert main(["simulate", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize(
+        "signal, message",
+        [
+            (None, "needs t_max, n, or both"),
+            ({}, "needs t_max, n, or both"),
+            ({"t_max": 1.0, "n": 2}, "sample spacing too coarse"),
+        ],
+    )
+    def test_ungriddable_signal_is_usage_error(self, tmp_path, capsys, signal, message):
+        # None runs the built-in defaults, which set no window
+        config = [] if signal is None else ["--config", write_config(tmp_path / "c.json", signal=signal)]
+        assert main(["simulate", *config, "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert "bad config" in err and message in err
+        assert not (tmp_path / "out" / "signal.json").exists()
+
 
 class TestReconstructCommand:
     def test_end_to_end_outputs(self, tmp_path):
@@ -162,6 +178,19 @@ class TestReconstructCommand:
         assert (
             main(["reconstruct", str(tmp_path / "missing.json"), "--config", cfg, "--quiet"]) == 2
         )
+
+    def test_signal_too_coarse_for_model_is_usage_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "cfg.json")
+        out_dir = tmp_path / "out"
+        assert main(["simulate", "--config", cfg, "--out", str(out_dir), "--quiet"]) == 0
+        sig = load_json(out_dir / "signal.json")
+        sig["dt"] = 10.0
+        (out_dir / "signal.json").write_text(json.dumps(sig))
+        code = main(["reconstruct", str(out_dir / "signal.json"), "--config", cfg,
+                     "--out", str(out_dir), "--method", "dft", "--quiet"])
+        assert code == 1
+        assert "bad config" in capsys.readouterr().err
+        assert not (out_dir / "report_dft.json").exists()
 
     def test_solver_diagnostics_in_report(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json")

@@ -1,8 +1,16 @@
 import numpy as np
 import pytest
+from _oracles import golden_peak_fit, windowed_misfit
 
-from greenspec.dft import DftConfig, dirichlet_kernel, extract_peaks_clean, padded_spectrum
-from greenspec.spectrum import CANONICAL, SamplingGrid, TimeSignal
+from greenspec.dft import (
+    DftConfig,
+    _atom,
+    _fit_peak,
+    dirichlet_kernel,
+    extract_peaks_clean,
+    padded_spectrum,
+)
+from greenspec.spectrum import CANONICAL, SamplingGrid, TimeSignal, _wrap_distance
 
 
 def make_signal(n, freqs, coeffs):
@@ -106,8 +114,6 @@ class TestExtractPeaksClean:
         )
         total = cfg.pad_factor * n
         residual = np.fft.fft(y.samples, total)
-        from greenspec.dft import _fit_peak
-
         maxima = [np.max(np.abs(residual))]
         for _ in range(4):
             k = int(np.argmax(np.abs(residual)))
@@ -149,6 +155,65 @@ class TestExtractPeaksClean:
             ) and len(spec.poles) >= 2
             failures += not resolved
         assert failures >= 0.9 * trials
+
+
+class TestFitPeak:
+    @pytest.mark.parametrize("n", [5, 24, 101])
+    def test_noiseless_off_grid_atom_recovered(self, n):
+        # f anywhere in the +-1-bin search interval, at its edges, and on
+        # both sides of the 0/1 wrap (k_max = 0 and k_max = total - 1)
+        total = 16 * n
+        rng = np.random.default_rng(n)
+        offsets = [*rng.uniform(-1.0, 1.0, 6), -1.0, 1.0, -1.0 + 1e-6, 1.0 - 1e-6, 0.0]
+        for k_max in (0, 7 * n, total - 1):
+            for t in offsets:
+                f = (k_max + t) / total
+                amp = 0.8 * np.exp(2j * np.pi * rng.uniform())
+                residual = np.fft.fft(amp * np.exp(2j * np.pi * f * np.arange(n)), total)
+                amp_hat, f_hat = _fit_peak(residual, k_max, n, total)
+                assert 0.0 <= f_hat < 1.0
+                assert _wrap_distance(f_hat, f % 1.0) <= 1e-9 / total
+                assert abs(amp_hat - amp) <= 1e-9 * abs(amp)
+
+    def test_misfit_no_worse_than_golden_section(self):
+        rng = np.random.default_rng(3)
+        for trial in range(40):
+            n = int(rng.integers(6, 60))
+            total = 16 * n
+            freqs = rng.uniform(0.0, 1.0, 3)
+            coeffs = rng.uniform(0.2, 1.0, 3) * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, 3))
+            j = np.arange(n)
+            samples = (coeffs[None, :] * np.exp(2j * np.pi * np.outer(j, freqs))).sum(axis=1)
+            samples += 0.05 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+            residual = np.fft.fft(samples, total)
+            k_max = int(np.argmax(np.abs(residual)))
+            _, f_batched = _fit_peak(residual, k_max, n, total)
+            _, f_golden = golden_peak_fit(residual, k_max, n, total)
+            batched = windowed_misfit(residual, k_max, n, total, f_batched)[0]
+            golden = windowed_misfit(residual, k_max, n, total, f_golden)[0]
+            assert batched <= golden * (1.0 + 1e-12), trial
+
+
+class TestTableAtom:
+    @pytest.mark.parametrize("n, pad", [(1, 16), (2, 1), (7, 4), (24, 16), (101, 16), (801, 16)])
+    def test_matches_kernel(self, n, pad):
+        total = pad * n
+        turn = np.exp(1j * np.pi * np.arange(total) / total)
+        rng = np.random.default_rng(total)
+        on_grid = [0.0, 3 / total, (total - 1) / total]
+        for f in [*rng.uniform(0.0, 1.0, 8), *on_grid, 1.0 - 1e-15]:
+            amp = complex(*rng.standard_normal(2))
+            got = _atom((amp, f), n, turn)
+            want = amp * dirichlet_kernel(f - np.arange(total) / total, n)
+            assert np.all(np.isfinite(got))
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * n * abs(amp))
+
+    def test_on_grid_value_is_n(self):
+        n, pad = 16, 8
+        total = pad * n
+        turn = np.exp(1j * np.pi * np.arange(total) / total)
+        got = _atom((1.0, 5 / total), n, turn)
+        assert got[5] == n
 
 
 class TestConfigValidation:
