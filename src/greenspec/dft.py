@@ -20,7 +20,7 @@ from .spectrum import CANONICAL, LineSpectrum, Pole, TimeSignal, _wrap_distance
 _FIT_HALFWIDTH = 3  # bins on either side of the argmax that a peak's kernel is fitted to
 _REFIT_ROUNDS = 6  # coordinate re-fit sweeps after the greedy pass
 _ZOOM = np.linspace(-1.0, 1.0, 33)  # a fit level's candidates, spaced 1/16 of its half-width
-_ZOOM_LEVELS = 10  # the last level's candidates lie 16**-10 of a padded bin apart
+_ZOOM_LEVELS = 9  # the last level's candidates lie 16**-9 of a padded bin apart
 
 
 @dataclass(frozen=True)
@@ -108,9 +108,9 @@ def _fit_peak(residual: np.ndarray, k_max: int, n: int, total: int) -> tuple[com
 
 
 def _atom(peak: tuple[complex, float], n: int, turn: np.ndarray) -> np.ndarray:
-    """amp * dirichlet_kernel(f - k/total, n) on every padded bin k, from turn_k = exp(i pi k/total).
+    """amp * dirichlet_kernel(f - k/total, n) for every padded bin k, from the table turn.
 
-    With x = f - k/total, k = q pad + r and theta_r = pi n f - pi r/pad,
+    With turn_k = exp(i pi k/total), x = f - k/total, k = q pad + r and theta_r = pi n f - pi r/pad,
     sin(pi n x) = (-1)^q sin(theta_r) and exp(i pi (n-1) x) =
     (-1)^q exp(i (theta_r - pi f)) turn_k.  The signs cancel, so the kernel
     is a pad-long row times turn_k over sin(pi x) = sin(pi f) Re turn_k -
@@ -152,23 +152,24 @@ def extract_peaks_clean(y: TimeSignal, config: DftConfig) -> LineSpectrum:
     first_peak = float(np.max(np.abs(residual)))
     if first_peak == 0.0:
         return LineSpectrum((), CANONICAL)
-    turn = np.exp(1j * np.pi * np.arange(total) / total)  # the atoms' one table
+    turn = np.exp(1j * np.pi * np.arange(total) / total)  # the table _atom builds atoms from
 
-    def peel(residual: np.ndarray) -> tuple[np.ndarray, tuple[complex, float]]:
+    def peel() -> tuple[complex, float]:
         peak = _fit_peak(residual, int(np.argmax(np.abs(residual))), n, total)
-        return residual - _atom(peak, n, turn), peak
+        residual[:] -= _atom(peak, n, turn)
+        return peak
 
     found: list[tuple[complex, float]] = []
     for _ in range(config.max_peaks):
         if np.max(np.abs(residual)) < config.stop_fraction * first_peak:
             break
-        residual, peak = peel(residual)
-        found.append(peak)
+        found.append(peel())
     # coordinate re-fits: each pass corrects one peak for the sidelobe
     # leakage of the others still present in the greedy residual
     for _ in range(_REFIT_ROUNDS):
         for i, peak in enumerate(found):
-            residual, found[i] = peel(residual + _atom(peak, n, turn))
+            residual += _atom(peak, n, turn)
+            found[i] = peel()
     # merge duplicate fits of the same line before building the spectrum
     merged: list[tuple[complex, float]] = []
     for amp, f in found:

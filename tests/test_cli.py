@@ -136,8 +136,10 @@ class TestSimulateCommand:
     )
     def test_ungriddable_signal_is_usage_error(self, tmp_path, capsys, signal, message):
         # None runs the built-in defaults, which set no window
-        config = [] if signal is None else ["--config", write_config(tmp_path / "c.json", signal=signal)]
-        assert main(["simulate", *config, "--out", str(tmp_path / "out")]) == 1
+        args = ["simulate", "--out", str(tmp_path / "out")]
+        if signal is not None:
+            args += ["--config", write_config(tmp_path / "c.json", signal=signal)]
+        assert main(args) == 1
         err = capsys.readouterr().err
         assert "bad config" in err and message in err
         assert not (tmp_path / "out" / "signal.json").exists()
