@@ -200,6 +200,7 @@ class TestTableAtom:
         total = pad * n
         turn = np.exp(1j * np.pi * np.arange(total) / total)
         rng = np.random.default_rng(total)
+        # on grid the expanded denominator vanishes; the value there is n * amp
         on_grid = [0.0, 3 / total, (total - 1) / total]
         for f in [*rng.uniform(0.0, 1.0, 8), *on_grid, 1.0 - 1e-15]:
             amp = complex(*rng.standard_normal(2))
@@ -207,13 +208,6 @@ class TestTableAtom:
             want = amp * dirichlet_kernel(f - np.arange(total) / total, n)
             assert np.all(np.isfinite(got))
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * n * abs(amp))
-
-    def test_on_grid_value_is_n(self):
-        n, pad = 16, 8
-        total = pad * n
-        turn = np.exp(1j * np.pi * np.arange(total) / total)
-        got = _atom((1.0, 5 / total), n, turn)
-        assert got[5] == n
 
 
 class TestConfigValidation:
