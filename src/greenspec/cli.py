@@ -65,12 +65,6 @@ class _IoError(Exception):
     pass
 
 
-def _apply_seed(config: pipeline.ExperimentConfig, seed: int | None) -> pipeline.ExperimentConfig:
-    if seed is None:
-        return config
-    return replace(config, signal=replace(config.signal, seed=seed))
-
-
 def _seed(text: str) -> int:
     """argparse type: a seed, which numpy takes only as a non-negative integer."""
     if not text.strip().isdecimal():
@@ -97,7 +91,9 @@ def _retarded(signal: TimeSignal, factor: complex) -> TimeSignal:
 
 
 def cmd_simulate(args) -> int:
-    config = _apply_seed(_load_config(args.config), args.seed)
+    config = _load_config(args.config)
+    if args.seed is not None:
+        config = replace(config, signal=replace(config.signal, seed=args.seed))
     with _bad_config(args.config):  # a config with no extent, or too coarse a one
         pipeline.resolve_grid(config, pipeline.resolve_rescale_map(config))
     signal = pipeline.simulate_signal(config)
@@ -123,7 +119,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_reconstruct(args) -> int:
-    config = _apply_seed(_load_config(args.config), args.seed)
+    config = _load_config(args.config)
     try:
         signal = signal_from_json(load_json(args.signal))
     except (OSError, json.JSONDecodeError, KeyError) as exc:
@@ -170,10 +166,11 @@ def cmd_reconstruct(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    config = _apply_seed(_load_config(args.config), args.seed)
+    config = _load_config(args.config)
     methods = ("anm", "dft") if args.method == "both" else (args.method,)
     variants = tuple(args.variant) if args.variant else None
-    cells = pipeline.run_sweep(config, args.t_max, args.seeds, methods=methods, variants=variants)
+    seeds = args.seeds or [config.signal.seed]
+    cells = pipeline.run_sweep(config, args.t_max, seeds, methods=methods, variants=variants)
     os.makedirs(args.out, exist_ok=True)
     csv_path = os.path.join(args.out, "sweep.csv")
     with open(csv_path, "w") as fh:
@@ -212,7 +209,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--quiet", action="store_true")
     writes = argparse.ArgumentParser(add_help=False, parents=[common])
     writes.add_argument("--out", default=".", help="output directory")
-    writes.add_argument("--seed", type=_seed, default=None, help="override the config seed")
 
     convention_help = (
         "signal file convention: bare exponential sum (gtilde) or with the "
@@ -220,6 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p_sim = sub.add_parser("simulate", parents=[writes], help="sample the Green's function")
+    p_sim.add_argument("--seed", type=_seed, default=None, help="override the config seed")
     p_sim.add_argument(
         "--convention", choices=("gtilde", "retarded"), default="gtilde", help=convention_help
     )
@@ -243,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--t-max", type=_comma_list(float), required=True, help="comma-separated window lengths"
     )
     p_sweep.add_argument(
-        "--seeds", type=_comma_list(_seed), default=[0], help="comma-separated seeds"
+        "--seeds", type=_comma_list(_seed), help="comma-separated seeds; default: the config seed"
     )
     p_sweep.add_argument("--method", choices=("anm", "dft", "both"), default="both")
     p_sweep.add_argument(

@@ -56,10 +56,18 @@ def dirichlet_kernel(delta: np.ndarray, n: int) -> np.ndarray:
 
 
 def _dirichlet_ratio(delta: np.ndarray, n: int) -> np.ndarray:
-    """The real factor sin(pi n delta)/sin(pi delta) of the kernel, n where it is 0/0."""
+    """The real factor sin(pi n delta)/sin(pi delta) of the kernel, and its limit where it is 0/0.
+
+    At integer delta the limit n cos(pi n delta)/cos(pi delta) is n (-1)^(delta (n-1)):
+    -n at odd delta when n is even, and n otherwise.
+    """
     num = np.sin(np.pi * n * delta)
     den = np.sin(np.pi * delta)
-    return np.divide(num, den, out=np.full(np.shape(num), float(n)), where=np.abs(den) >= 1e-15)
+    ok = np.abs(den) >= 1e-15
+    ratio = np.divide(num, den, out=np.full(np.shape(num), float(n)), where=ok)
+    if n % 2 == 0:
+        ratio[~ok & (np.rint(delta) % 2 == 1)] = -n
+    return ratio
 
 
 def padded_spectrum(y: TimeSignal, config: DftConfig) -> tuple[np.ndarray, np.ndarray]:

@@ -66,32 +66,23 @@ def match_poles(truth: LineSpectrum, estimate: LineSpectrum) -> MatchReport:
     in_gate = cost <= max_distance
     rows, cols = linear_sum_assignment(np.where(in_gate, cost, 1.0 + cost[in_gate].sum()))
     pairs = tuple((int(r), int(c)) for r, c in zip(rows, cols) if in_gate[r, c])
-    return MatchReport(
-        pairs=pairs,
-        unmatched_true=tuple(i for i in range(len(wt)) if i not in {p[0] for p in pairs}),
-        unmatched_est=tuple(j for j in range(len(we)) if j not in {p[1] for p in pairs}),
-        epsilon=_epsilon(truth, estimate, pairs),
-    )
-
-
-def _epsilon(truth: LineSpectrum, estimate: LineSpectrum, pairs) -> float:
-    matched_true = {p[0] for p in pairs}
-    matched_est = {p[1] for p in pairs}
+    unmatched_true = tuple(sorted(set(range(len(wt))) - {l for l, _ in pairs}))
+    unmatched_est = tuple(sorted(set(range(len(we))) - {m for _, m in pairs}))
+    # summed as pairs, unmatched true poles, unmatched estimates, each by index:
+    # epsilon's last bit depends on this order
     numer = 0.0
     for l, m in pairs:
         pt, pe = truth.poles[l], estimate.poles[m]
         numer += abs(pt.amplitude) * abs(pt.frequency - pe.frequency)
         numer += abs(pt.amplitude - pe.amplitude)
-    for l, pt in enumerate(truth.poles):
-        if l not in matched_true:
-            numer += abs(pt.amplitude) * abs(pt.frequency) + abs(pt.amplitude)
-    for m, pe in enumerate(estimate.poles):
-        if m not in matched_est:
-            numer += abs(pe.amplitude)
+    for pt in (truth.poles[l] for l in unmatched_true):
+        numer += abs(pt.amplitude) * abs(pt.frequency) + abs(pt.amplitude)
+    for pe in (estimate.poles[m] for m in unmatched_est):
+        numer += abs(pe.amplitude)
     denom = sum(abs(p.amplitude) * abs(p.frequency) + abs(p.amplitude) for p in truth.poles)
     if denom == 0.0:
         raise ValueError("true spectrum has zero total weight")
-    return numer / denom
+    return MatchReport(pairs, unmatched_true, unmatched_est, numer / denom)
 
 
 def reconstruction_error(truth: LineSpectrum, estimate: LineSpectrum) -> float:

@@ -215,8 +215,6 @@ def noise_scale_estimate(config: ExperimentConfig) -> float:
 def _peaks_and_fit(y: TimeSignal, sol: anm.DenoisedSolution) -> tuple[float, tuple[Pole, ...]]:
     """Misfit of the solve's fitted atoms against ``y``, and those atoms."""
     freqs = anm.locate_peaks(sol)
-    if not freqs:
-        return float(np.linalg.norm(y.samples)), ()
     try:
         coeffs = anm.recover_amplitudes(y, freqs)
     except ValueError:
@@ -254,8 +252,8 @@ def anm_reconstruct_canonical(
     scan = cfg.tau in ("ladder", "path") and norm_y > 0
     if scan:
         candidates = [rel * norm_y for rel in TAU_PATH_LADDER]
-        noise_tau = anm.select_tau(sigma_est, y.grid.n) if sigma_est > 0 else 0.0
-        if noise_tau > 0:
+        if sigma_est > 0:
+            noise_tau = anm.select_tau(sigma_est, y.grid.n)
             candidates = sorted(set(candidates) | {noise_tau, 2.0 * noise_tau})
     elif isinstance(cfg.tau, str):
         candidates = [max(anm.select_tau(sigma_est, y.grid.n), TAU_FLOOR_REL * norm_y)]
@@ -289,7 +287,6 @@ def anm_reconstruct_canonical(
             break
         if cfg.tau == "ladder" and fits[tau][2].converged and 1.1 * resid <= noise_floor:
             break
-    candidates = [t for t in candidates if t in fits]
 
     def select(taus) -> float:
         # converged solves first; the rest only count when none converged.
@@ -301,13 +298,13 @@ def anm_reconstruct_canonical(
         floor = max(1.1 * best, noise_floor)
         return max(t for t in taus if fits[t][0] <= floor)
 
-    tau_best = select(candidates)
+    tau_best = select(fits)
     if scan and cfg.tau == "path":
-        below = max([t for t in candidates if t < tau_best], default=tau_best / 2.0)
-        above = min([t for t in candidates if t > tau_best], default=tau_best * 2.0)
+        below = max([t for t in fits if t < tau_best], default=tau_best / 2.0)
+        above = min([t for t in fits if t > tau_best], default=tau_best * 2.0)
         # golden section in log tau; every visited tau lands in the memo
         _golden_min(lambda x: evaluate(math.exp(x)), math.log(below), math.log(above), 12)
-        tau_best = select(list(fits))
+        tau_best = select(fits)
     _, poles, sol = fits[tau_best]
     return LineSpectrum(poles, CANONICAL), sol
 
@@ -411,6 +408,9 @@ def _run_cell(
 ) -> SweepCell:
     # windows with t0 < 0 slide with t_max (two-sided sampling)
     t0 = -t_max if config.signal.t0 < 0 else config.signal.t0
+    cell = SweepCell(
+        t_max, method, variant, n=-1, seed=seed, epsilon=math.nan, tau=None, q_max=None
+    )
     try:
         sig = replace(config.signal, t_max=t_max, t0=t0, seed=seed)
         if config.signal.n is not None and config.signal.t_max is not None:
@@ -423,29 +423,11 @@ def _run_cell(
         signal = simulate_signal(cell_cfg)
         out = reconstruct(signal, cell_cfg, method)
     except (ValueError, ArithmeticError, np.linalg.LinAlgError) as exc:
-        return SweepCell(
-            t_max=t_max,
-            method=method,
-            variant=variant,
-            n=-1,
-            seed=seed,
-            epsilon=float("nan"),
-            tau=None,
-            q_max=None,
-            error=f"{type(exc).__name__}: {exc}",
-        )
+        return replace(cell, error=f"{type(exc).__name__}: {exc}")
     sol = out.dual_solution
-    return SweepCell(
-        t_max=t_max,
-        method=method,
-        variant=variant,
-        n=signal.grid.n,
-        seed=seed,
-        epsilon=out.epsilon,
-        tau=sol.tau if sol is not None else None,
-        q_max=out.q_max,
-        converged=sol.converged if sol is not None else None,
-    )
+    if sol is not None:
+        cell = replace(cell, tau=sol.tau, converged=sol.converged)
+    return replace(cell, n=signal.grid.n, epsilon=out.epsilon, q_max=out.q_max)
 
 
 def run_sweep(

@@ -222,8 +222,6 @@ def from_canonical(spectrum: LineSpectrum, rmap: RescaleMap) -> LineSpectrum:
         raise ValueError("expected a canonical-domain spectrum")
     poles = []
     for p in spectrum.poles:
-        if not 0.0 <= p.frequency < 1.0:
-            raise ValueError(f"canonical frequency {p.frequency} outside [0, 1)")
         amp = p.amplitude * np.exp(-1j * _TWO_PI * p.frequency * rmap.omega_max * rmap.t0)
         poles.append(Pole(amp, rmap.frequency_from_canonical(p.frequency), p.z_expect))
     return LineSpectrum(tuple(poles), PHYSICAL)

@@ -126,6 +126,18 @@ class TestSimulateCommand:
     def test_missing_config_is_io_error(self, tmp_path):
         assert main(["simulate", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path)]) == 2
 
+    def test_seed_flag_overrides_config_seed(self, tmp_path):
+        signal = {"evolver": "exact", "t_max": 0.27, "n": 24, "shots": 100}
+        flagged = write_config(tmp_path / "a.json", signal={**signal, "seed": 0})
+        configured = write_config(tmp_path / "b.json", signal={**signal, "seed": 5})
+        base = ["simulate", "--quiet", "--out"]
+        assert main([*base, str(tmp_path / "a"), "--config", flagged, "--seed", "5"]) == 0
+        assert main([*base, str(tmp_path / "b"), "--config", configured]) == 0
+        assert main([*base, str(tmp_path / "c"), "--config", configured, "--seed", "0"]) == 0
+        assert load_json(tmp_path / "a" / "signal_meta.json")["seed"] == 5
+        a, b, c = ((tmp_path / d / "signal.json").read_bytes() for d in "abc")
+        assert a == b != c
+
     @pytest.mark.parametrize(
         "signal, message",
         [
@@ -231,6 +243,14 @@ class TestReconstructCommand:
         assert main(["reconstruct"]) == 1
         assert main(["frobnicate"]) == 1
 
+    def test_seed_is_usage_error(self, tmp_path):
+        # reconstruct draws no sample, so a seed could change nothing
+        cfg = write_config(tmp_path / "cfg.json")
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path), "--quiet"]) == 0
+        args = ["reconstruct", str(tmp_path / "signal.json"), "--config", cfg, "--quiet"]
+        assert main([*args, "--out", str(tmp_path / "out"), "--seed", "3"]) == 1
+        assert not (tmp_path / "out").exists()
+
 
 class TestSweepCommand:
     def test_csv_deterministic(self, tmp_path):
@@ -305,6 +325,16 @@ class TestSweepCommand:
         assert main(args) == 1
         assert f"argument {flag}" in capsys.readouterr().err
         assert not (tmp_path / "sweep.csv").exists()
+
+    @pytest.mark.parametrize("flag, seed", [(None, "7"), ("--seeds", "5"), ("--seed", "5")])
+    def test_seed_reaches_csv(self, tmp_path, flag, seed):
+        # without --seeds the config's seed runs; --seed abbreviates --seeds
+        cfg = write_config(tmp_path / "cfg.json", signal={"t_max": 0.27, "n": 24, "seed": 7})
+        out = tmp_path / "s"
+        args = ["sweep", "--config", cfg, "--t-max", "0.27", "--method", "dft", "--out", str(out)]
+        assert main([*args, "--quiet", *([flag, seed] if flag else [])]) == 0
+        rows = (out / "sweep.csv").read_text().splitlines()
+        assert [r.split(",")[4] for r in rows[1:]] == [seed]
 
     def test_without_config(self, tmp_path):
         # the default config sets no window; the theory threshold needs none

@@ -46,6 +46,13 @@ class TestPaddedSpectrum:
         expected = dirichlet_kernel(f - freqs, n)
         np.testing.assert_allclose(values, expected, atol=1e-9)
 
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    @pytest.mark.parametrize("delta", [0.0, 1.0, -1.0, 2.0, 3.0])
+    def test_kernel_at_integer_offset_is_its_sum(self, delta, n):
+        # sin(pi n delta)/sin(pi delta) is 0/0 here; an odd delta flips its sign for even n
+        want = np.sum(np.exp(2j * np.pi * delta * np.arange(n)))
+        assert dirichlet_kernel(delta, n) == pytest.approx(want, abs=1e-12)
+
     def test_parseval(self):
         rng = np.random.default_rng(0)
         n, pad = 20, 16
