@@ -37,13 +37,14 @@ for p in oracle.poles:
 
 # One-sided signal: weights sum to one at t = 0; the two-sided assembly
 # carries both frequency signs and starts at two.
-print(f"\ng_sym(0)     = {green_sym(h_eff, gs, 0.0):.6f}")
-print(f"g_general(0) = {green_general(h_eff, gs, 0.0):.6f}")
+print(f"\ng_sym(0)     = {green_sym(h_eff, gs, 0.0)[0]:.6f}")
+print(f"g_general(0) = {green_general(h_eff, gs, 0.0)[0]:.6f}")
 
 print("\nexact vs product-formula samples (2 steps):")
-for t in (0.25, 0.5, 1.0, 2.0):
-    exact = green_sym(h_eff, gs, t, evolver="exact")
-    trotter = green_sym(h_eff, gs, t, evolver="trotter2", trotter_steps=2)
+times = np.array([0.25, 0.5, 1.0, 2.0])
+exact_row = green_sym(h_eff, gs, times, evolver="exact")
+trotter_row = green_sym(h_eff, gs, times, evolver="trotter2", trotter_steps=2)
+for t, exact, trotter in zip(times, exact_row, trotter_row):
     model = sum(p.amplitude * np.exp(1j * p.frequency * t) for p in oracle.poles)
     print(
         f"  t={t:4.2f}  exact vs poles {abs(exact - model):.2e}   "
@@ -62,6 +63,6 @@ for steps in (1, 2, 4, 8):
 
 # Finite shots: each expectation becomes a mean of +/-1 readouts.
 shot = ShotConfig(shots=100000, seed=7)
-val = green_sym(h_eff, gs, 0.8, shot=shot)
-ref = green_sym(h_eff, gs, 0.8)
+val = green_sym(h_eff, gs, 0.8, shot=shot)[0]
+ref = green_sym(h_eff, gs, 0.8)[0]
 print(f"\n10^5-shot estimate at t = 0.8 deviates by {abs(val - ref):.2e} (expected ~{np.sqrt(2/1e5):.0e})")

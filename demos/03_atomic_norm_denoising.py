@@ -16,7 +16,6 @@ from greenspec import (
     TimeSignal,
     atomic_denoise,
     atomic_norm,
-    dual_polynomial_grid,
     locate_peaks,
     recover_amplitudes,
     select_tau,
@@ -44,7 +43,7 @@ print(
 )
 
 # The dual polynomial is bounded by one and touches it at the line positions.
-q_grid = dual_polynomial_grid(solution, 1 << 13)
+q_grid = np.abs(np.fft.fft(solution.dual, 1 << 13))
 print(f"max |Q| on a fine grid: {q_grid.max():.6f}")
 
 peaks = locate_peaks(solution)

@@ -9,11 +9,10 @@ into one displaced lobe.
 
 import numpy as np
 
-from greenspec import DftConfig, SamplingGrid, TimeSignal, extract_peaks_clean, padded_spectrum
+from greenspec import SamplingGrid, TimeSignal, extract_peaks_clean
 
 n = 32
 j = np.arange(n)
-config = DftConfig(pad_factor=16, max_peaks=4)
 
 
 def signal(lines):
@@ -23,7 +22,7 @@ def signal(lines):
 
 # Case 1: two lines separated by several bins.
 wide = [(0.17, 1.0), (0.63, 0.6)]
-spectrum = extract_peaks_clean(signal(wide), config)
+spectrum = extract_peaks_clean(signal(wide))
 print("well-separated pair:")
 for p in spectrum.poles:
     print(f"  f = {p.frequency:.5f}  |c| = {abs(p.amplitude):.4f}")
@@ -31,21 +30,15 @@ print(f"  truth: {wide}")
 
 # Case 2: on-grid lines come back exactly.
 on_grid = [(2 / n, 1.0), (9 / n, 0.5)]
-spectrum = extract_peaks_clean(signal(on_grid), config)
+spectrum = extract_peaks_clean(signal(on_grid))
 print("\non-grid pair:")
 for p, (f, c) in zip(spectrum.sorted_by_frequency().poles, on_grid):
     print(f"  f error {abs(p.frequency - f):.2e}   |c| error {abs(abs(p.amplitude) - c):.2e}")
 
 # Case 3: sub-window separation: the extractor sees a single displaced lobe.
 close = [(0.300, 1.0), (0.315, 0.8)]
-spectrum = extract_peaks_clean(signal(close), config)
+spectrum = extract_peaks_clean(signal(close))
 print("\nsub-window pair (separation half a bin):")
 for p in spectrum.poles:
     print(f"  f = {p.frequency:.5f}  |c| = {abs(p.amplitude):.4f}")
 print(f"  truth: {close}  ->  merged/displaced, the motivation for super-resolution")
-
-# The padded spectrum itself: a Dirichlet lobe per line.
-freqs, values = padded_spectrum(signal(wide), config)
-mag = np.abs(values)
-local_max = (mag >= np.roll(mag, 1)) & (mag > np.roll(mag, -1)) & (mag > 0.3 * mag.max())
-print(f"\npadded-spectrum lobes near: {np.sort(freqs[local_max] % 1.0)}")

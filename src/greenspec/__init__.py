@@ -16,7 +16,7 @@ from .anm import (
     recover_amplitudes,
     select_tau,
 )
-from .dft import DftConfig, extract_peaks_clean, padded_spectrum
+from .dft import extract_peaks_clean
 from .metrics import MatchReport, match_poles, reconstruction_error
 from .pipeline import (
     ExperimentConfig,

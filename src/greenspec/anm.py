@@ -211,7 +211,7 @@ def _admm(
     d_f = np.empty((_AA_MEMORY, size))  # ring buffers of successive differences
     d_g = np.empty((_AA_MEMORY, size))
     gram = np.empty((_AA_MEMORY, _AA_MEMORY))
-    w_h = np.empty_like(w)  # conjugate transpose of w, for the symmetrization
+    w_h, _ = _stack(n)  # conjugate transpose of w, for the symmetrization
     big_z, big_u = w
     x = y.copy()
     if warm is not None and warm.z_state is not None:
@@ -396,14 +396,9 @@ def _cert_points(n: int) -> int:
     return max(4096, 64 * n)
 
 
-def dual_polynomial_grid(solution: DenoisedSolution, grid_points: int | None = None) -> np.ndarray:
-    """|Q| on a uniform frequency grid k/grid_points, evaluated by FFT.
-
-    The default grid is the certificate grid, max(4096, 64 n) points.
-    """
-    if grid_points is None:
-        grid_points = _cert_points(len(solution.dual))
-    return np.abs(np.fft.fft(solution.dual, grid_points))
+def dual_polynomial_grid(solution: DenoisedSolution) -> np.ndarray:
+    """|Q| on the certificate grid, k/m for m = max(4096, 64 n) points, evaluated by FFT."""
+    return np.abs(np.fft.fft(solution.dual, _cert_points(len(solution.dual))))
 
 
 # eigenvalues of T(u) at or below this share (or the solve's larger residual,

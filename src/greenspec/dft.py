@@ -1,48 +1,27 @@
 """Zero-padded DFT baseline with iterative peak fitting and subtraction.
 
 The comparison method against which super-resolution is judged: transform
-the n samples onto a pad_factor-times-finer frequency grid, then repeatedly
-take the strongest remaining bin, fit a periodic-sinc (Dirichlet) kernel to
-a few bins around it to pull the peak off the grid, and subtract the fitted
-atom's full padded spectrum from the residual.  Zero padding refines peak
+the n samples onto a 16-times-finer frequency grid, then repeatedly take the
+strongest remaining bin, fit a periodic-sinc (Dirichlet) kernel to a few
+bins around it to pull the peak off the grid, and subtract the fitted atom's
+full padded spectrum from the residual.  Zero padding refines peak
 localization but adds no resolution; closely spaced lines stay merged, which
 is precisely the failure mode the atomic-norm route avoids.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .spectrum import CANONICAL, LineSpectrum, Pole, TimeSignal, _wrap_distance
 
+_PAD_FACTOR = 16  # the samples are zero-padded to this many times their length
+_MAX_PEAKS = 8  # at most this many peaks are extracted
+_STOP_FRACTION = 0.05  # extraction stops once the strongest bin falls below this share of the first
 _FIT_HALFWIDTH = 3  # bins on either side of the argmax that a peak's kernel is fitted to
 _REFIT_ROUNDS = 6  # coordinate re-fit sweeps after the greedy pass
 _ZOOM = np.linspace(-1.0, 1.0, 33)  # a fit level's candidates, spaced 1/16 of its half-width
 _ZOOM_LEVELS = 9  # the last level's candidates lie 16**-9 of a padded bin apart
-
-
-@dataclass(frozen=True)
-class DftConfig:
-    """Padding and stopping settings for the peak extractor.
-
-    The samples are zero-padded to ``pad_factor`` times their length; at
-    most ``max_peaks`` peaks are extracted, and extraction stops once the
-    strongest remaining bin falls below ``stop_fraction`` of the first.
-    """
-
-    pad_factor: int = 16
-    max_peaks: int = 8
-    stop_fraction: float = 0.05
-
-    def __post_init__(self) -> None:
-        if self.pad_factor < 1:
-            raise ValueError("pad_factor must be >= 1")
-        if self.max_peaks < 1:
-            raise ValueError("max_peaks must be >= 1")
-        if not 0.0 < self.stop_fraction < 1.0:
-            raise ValueError("stop_fraction must lie in (0, 1)")
 
 
 def dirichlet_kernel(delta: np.ndarray, n: int) -> np.ndarray:
@@ -68,22 +47,6 @@ def _dirichlet_ratio(delta: np.ndarray, n: int) -> np.ndarray:
     if n % 2 == 0:
         ratio[~ok & (np.rint(delta) % 2 == 1)] = -n
     return ratio
-
-
-def padded_spectrum(y: TimeSignal, config: DftConfig) -> tuple[np.ndarray, np.ndarray]:
-    """DFT of the samples zero-padded to pad_factor * n points.
-
-    Returns (freqs, values) with frequencies in cycles per sample, centered
-    on [-1/2, 1/2) and sorted ascending.
-    """
-    if y.domain != CANONICAL:
-        raise ValueError("padded_spectrum expects a canonical-domain signal")
-    n = y.grid.n
-    total = config.pad_factor * n
-    values = np.fft.fft(y.samples, total)
-    freqs = np.fft.fftfreq(total)
-    order = np.argsort(freqs, kind="stable")
-    return freqs[order], values[order]
 
 
 def _fit_peak(residual: np.ndarray, k_max: int, n: int, total: int) -> tuple[complex, float]:
@@ -143,19 +106,21 @@ def _atom(peak: tuple[complex, float], n: int, turn: np.ndarray) -> np.ndarray:
     return out
 
 
-def extract_peaks_clean(y: TimeSignal, config: DftConfig) -> LineSpectrum:
+def extract_peaks_clean(y: TimeSignal) -> LineSpectrum:
     """Iterative highest-first peak extraction from the padded spectrum.
 
     Loop: locate the strongest residual bin, fit (amplitude, frequency) of a
     Dirichlet kernel over the bins around it, subtract the fitted atom's
-    full padded spectrum, and repeat until max_peaks are found or the next
-    peak falls below stop_fraction of the first.  Amplitudes are kept
+    full padded spectrum, and repeat until _MAX_PEAKS are found or the next
+    peak falls below _STOP_FRACTION of the first.  Amplitudes are kept
     complex; positivity of a physical spectrum is checked downstream.
     """
     if y.domain != CANONICAL:
         raise ValueError("extract_peaks_clean expects a canonical-domain signal")
     n = y.grid.n
-    total = config.pad_factor * n
+    if n < 2:
+        raise ValueError("need at least two samples")
+    total = _PAD_FACTOR * n
     residual = np.fft.fft(y.samples, total)
     first_peak = float(np.max(np.abs(residual)))
     if first_peak == 0.0:
@@ -168,8 +133,8 @@ def extract_peaks_clean(y: TimeSignal, config: DftConfig) -> LineSpectrum:
         return peak
 
     found: list[tuple[complex, float]] = []
-    for _ in range(config.max_peaks):
-        if np.max(np.abs(residual)) < config.stop_fraction * first_peak:
+    for _ in range(_MAX_PEAKS):
+        if np.max(np.abs(residual)) < _STOP_FRACTION * first_peak:
             break
         found.append(peel())
     # coordinate re-fits: each pass corrects one peak for the sidelobe

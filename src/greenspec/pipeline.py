@@ -12,7 +12,7 @@ The time grid follows the spacing rule dt = 1/omega_max over the window
 giving ``n`` alone derives t_max; giving both oversamples: the map is rebuilt
 with the gap padding enlarged so that 1/omega_max = span/(n - 1) exactly,
 keeping every rescale invariant intact.  A negative ``t0`` samples the
-two-sided signal.
+two-sided signal.  A grid needs at least two samples.
 """
 
 from __future__ import annotations
@@ -69,13 +69,12 @@ class SignalConfig:
             raise ValueError(f"unknown evolver {self.evolver!r}")
         if self.t_max is not None and not self.t_max > self.t0:
             raise ValueError(f"window needs t_max > t0, got t_max={self.t_max}, t0={self.t0}")
-        least_n = 2 if self.t_max is not None else 1  # t_max and n set dt = span/(n - 1)
         for key, bound, ok in (
             ("shots", ">= 1 when given", self.shots is None or self.shots >= 1),
             ("trotter_steps", ">= 1", self.trotter_steps >= 1),
             ("sigma", "finite and >= 0", 0.0 <= self.sigma < math.inf),
             ("seed", ">= 0", self.seed >= 0),  # numpy takes no negative seed
-            ("n", f">= {least_n}", self.n is None or self.n >= least_n),
+            ("n", ">= 2", self.n is None or self.n >= 2),
         ):
             if not ok:
                 raise ValueError(f"{key} must be {bound}, got {getattr(self, key)!r}")
@@ -86,7 +85,6 @@ class ExperimentConfig:
     model: qsim.ModelParams = field(default_factory=lambda: qsim.ModelParams(4.0, 0.745))
     signal: SignalConfig = field(default_factory=SignalConfig)
     anm: anm.AnmConfig = field(default_factory=anm.AnmConfig)
-    dft: dft.DftConfig = field(default_factory=dft.DftConfig)
 
     @staticmethod
     def from_dict(data: dict) -> "ExperimentConfig":
@@ -97,14 +95,13 @@ class ExperimentConfig:
             raise ValueError(f"method section must be an object, got {type(methods).__name__}")
         # a misspelled section or method would otherwise run on the defaults
         unknown = sorted(set(data) - {"model", "signal", "method"})
-        unknown += [f"method.{name}" for name in sorted(set(methods) - {"anm", "dft"})]
+        unknown += [f"method.{name}" for name in sorted(set(methods) - {"anm"})]
         if unknown:
             raise ValueError(f"unknown config section(s) {unknown}")
         model = _section(qsim.ModelParams, "model", data.get("model", {"u": 4.0, "v": 0.745}))
         signal = _section(SignalConfig, "signal", data.get("signal", {}))
         anm_cfg = _section(anm.AnmConfig, "method.anm", methods.get("anm", {}))
-        dft_cfg = _section(dft.DftConfig, "method.dft", methods.get("dft", {}))
-        return ExperimentConfig(model, signal, anm_cfg, dft_cfg)
+        return ExperimentConfig(model, signal, anm_cfg)
 
 
 # an int passes for a float field; values are checked by exact type, so a bool
@@ -168,6 +165,8 @@ def resolve_grid(config: ExperimentConfig, rmap: RescaleMap) -> SamplingGrid:
         n = int(math.floor((sig.t_max - sig.t0) * rmap.omega_max)) + 1
     else:
         raise ValueError("signal config needs t_max, n, or both")
+    if n < 2:
+        raise ValueError("need at least two samples")
     return SamplingGrid(t0=sig.t0, n=n, dt=1.0 / rmap.omega_max)
 
 
@@ -355,7 +354,7 @@ def reconstruct(
         canon, sol = anm_reconstruct_canonical(y, config.anm, noise_scale_estimate(config))
         q_max = float(np.max(anm.dual_polynomial_grid(sol)))
     elif method == "dft":
-        canon = dft.extract_peaks_clean(y, config.dft)
+        canon = dft.extract_peaks_clean(y)
     else:
         raise ValueError(f"unknown method {method!r}")
     est = _project_physical(_prune_small(from_canonical(canon, rmap)))

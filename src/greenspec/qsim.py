@@ -326,11 +326,6 @@ def _times(t: float | np.ndarray) -> np.ndarray:
     return times
 
 
-def _like(t: float | np.ndarray, values: np.ndarray):
-    """``values`` for an array ``t``; its only element as a Python number for a scalar."""
-    return values if np.ndim(t) else values[0].item()
-
-
 def _evolved_probe(
     h_eff: PauliHamiltonian,
     gs: StateVector,
@@ -359,15 +354,16 @@ def hadamard_test(
     evolver: str = "exact",
     trotter_steps: int = 2,
     shot: ShotConfig = EXACT_SHOTS,
-) -> tuple[float, float] | tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Ancilla interferometry expectations for one (alpha, beta) Pauli pair.
 
     Returns (e_z, e_minus_y), the real and imaginary parts of the sandwich
     <U+ sigma_beta U sigma_alpha> on the ground state, where U is the
     evolution conditioned through the effective Hamiltonian.  With finite
     shots each value is the mean of independent +/-1 draws whose bias is the
-    exact expectation.  A scalar ``t`` gives two floats, a 1-D array of
-    times two arrays from one batched evolution.
+    exact expectation.  ``t`` is one time or a 1-D array of times; either
+    way both values are arrays, one entry per time, from one batched
+    evolution.
     """
     if alpha not in ("X", "Y") or beta not in ("X", "Y"):
         raise ValueError("alpha and beta must be 'X' or 'Y'")
@@ -377,7 +373,7 @@ def hadamard_test(
     tag = _COMBO_TAGS[(alpha, beta)]
     e_z = _estimate(_ancilla_p0(psi, "z"), shot, times, 2 * tag)
     e_minus_y = _estimate(_ancilla_p0(psi, "y"), shot, times, 2 * tag + 1)
-    return _like(t, e_z), _like(t, e_minus_y)
+    return e_z, e_minus_y
 
 
 def _complex(real: np.ndarray, imag: np.ndarray) -> np.ndarray:
@@ -395,15 +391,15 @@ def green_sym(
     evolver: str = "exact",
     trotter_steps: int = 2,
     shot: ShotConfig = EXACT_SHOTS,
-) -> complex | np.ndarray:
+) -> np.ndarray:
     """One-sided Green's-function sample sum_l |a_l|^2 exp(i w_l t).
 
     Valid when every per-line Z expectation vanishes (true for this model by
     particle-hole symmetry), so a single (X, X) interferometry pair suffices.
-    A 1-D array of times gives an array of samples.
+    Returns one sample per time; a single time gives an array of one.
     """
-    e_z, e_my = hadamard_test(h_eff, gs, "X", "X", _times(t), evolver, trotter_steps, shot)
-    return _like(t, _complex(e_z, -e_my))
+    e_z, e_my = hadamard_test(h_eff, gs, "X", "X", t, evolver, trotter_steps, shot)
+    return _complex(e_z, -e_my)
 
 
 def green_general(
@@ -413,14 +409,14 @@ def green_general(
     evolver: str = "exact",
     trotter_steps: int = 2,
     shot: ShotConfig = EXACT_SHOTS,
-) -> complex | np.ndarray:
+) -> np.ndarray:
     """Two-sided Green's-function sample, valid for positive and negative t.
 
     Assembles sum_l |a_l|^2 [(1 + <Z>_l) e^{-i w_l t} + (1 - <Z>_l) e^{i w_l t}]
     from the real parts of the four (alpha, beta) interferometry pairs, using
     that the (X, X) and (Y, Y) sandwiches agree and the cross terms carry
     opposite signs.  Both pairs with the same alpha share one evolution, so
-    a 1-D array of times costs two evolutions.
+    a 1-D array of times costs two evolutions.  Returns one sample per time.
     """
     times = _times(t)
     e_z = {}
@@ -429,7 +425,7 @@ def green_general(
         for beta in ("X", "Y"):
             p0 = _ancilla_p0(psi @ _CONTROLLED_SITE1_T[beta], "z")
             e_z[alpha + beta] = _estimate(p0, shot, times, 2 * _COMBO_TAGS[(alpha, beta)])
-    return _like(t, _complex(e_z["XX"] + e_z["YY"], e_z["YX"] - e_z["XY"]))
+    return _complex(e_z["XX"] + e_z["YY"], e_z["YX"] - e_z["XY"])
 
 
 # oracle pole weights below this are dropped

@@ -199,7 +199,7 @@ class TestAtomicDenoise:
 def relative_duality_gap(y: TimeSignal, sol) -> float:
     # the dual vector scaled into the dual-norm ball gives a feasible point
     # of max_z tau Re<z, y> - tau^2 ||z||^2 / 2 s.t. sup_f |<a(f), z>| <= 1
-    z = sol.dual / max(1.0, float(np.max(dual_polynomial_grid(sol, 65536))))
+    z = sol.dual / max(1.0, float(np.max(np.abs(np.fft.fft(sol.dual, 65536)))))
     dual_value = sol.tau * np.real(np.vdot(z, y.samples)) - 0.5 * sol.tau**2 * np.vdot(z, z).real
     return abs(sol.objective - dual_value) / sol.objective
 
@@ -230,7 +230,7 @@ class TestDualPolynomial:
     def test_huge_tau_zeroes_dual(self):
         y = make_signal(12, [0.3], [1.0])
         sol = atomic_denoise(y, AnmConfig(tau=1e6))
-        grid = dual_polynomial_grid(sol, 4096)
+        grid = dual_polynomial_grid(sol)
         assert np.max(grid) < 1e-4
 
     def test_certificate_bound_on_fine_grid(self):
@@ -242,7 +242,7 @@ class TestDualPolynomial:
         y = TimeSignal(SamplingGrid(0.0, n, 1.0), y_samples, CANONICAL)
         sol = atomic_denoise(y, AnmConfig(tau=select_tau(0.02, n)))
         assert sol.converged
-        assert np.max(dual_polynomial_grid(sol, 2**14)) <= 1.0 + 1e-3
+        assert np.max(np.abs(np.fft.fft(sol.dual, 2**14))) <= 1.0 + 1e-3
 
     def test_peaks_at_true_frequencies(self):
         n = 32

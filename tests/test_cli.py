@@ -13,7 +13,7 @@ def write_config(path, **overrides):
     data = {
         "model": {"u": 4.0, "v": 0.745},
         "signal": {"evolver": "exact", "t_max": 0.27, "n": 24, "seed": 0},
-        "method": {"anm": {"tau": "path"}, "dft": {}},
+        "method": {"anm": {"tau": "path"}},
     }
     for key, value in overrides.items():
         data[key] = value
@@ -68,6 +68,7 @@ class TestSimulateCommand:
             {"rescale": {"k_min": 4}},
             {"methd": {"anm": {"tau": 0.1}}},
             {"method": {"music": {}}},
+            {"method": {"dft": {}}},
         ],
     )
     def test_unknown_section_is_usage_error(self, tmp_path, capsys, section):
@@ -144,6 +145,7 @@ class TestSimulateCommand:
             (None, "needs t_max, n, or both"),
             ({}, "needs t_max, n, or both"),
             ({"t_max": 1.0, "n": 2}, "sample spacing too coarse"),
+            ({"t_max": 0.26}, "need at least two samples"),  # the default spacing is 0.473
         ],
     )
     def test_ungriddable_signal_is_usage_error(self, tmp_path, capsys, signal, message):
@@ -206,6 +208,17 @@ class TestReconstructCommand:
         assert "bad config" in capsys.readouterr().err
         assert not (out_dir / "report_dft.json").exists()
 
+    def test_one_sample_signal_is_numeric_failure(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "cfg.json", signal={"t_max": 0.26})
+        sig = tmp_path / "signal.json"
+        sig.write_text(json.dumps({"t0": 0.0, "dt": 0.473, "n": 1, "samples": [[1.0, 0.0]]}))
+        out_dir = tmp_path / "out"
+        code = main(["reconstruct", str(sig), "--config", cfg,
+                     "--out", str(out_dir), "--method", "dft", "--quiet"])
+        assert code == 3
+        assert "need at least two samples" in capsys.readouterr().err
+        assert not (out_dir / "report_dft.json").exists()
+
     def test_solver_diagnostics_in_report(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json")
         out_dir = tmp_path / "out"
@@ -259,7 +272,6 @@ class TestSweepCommand:
             signal={"evolver": "trotter2", "t_max": 0.4, "n": 10, "shots": 2000, "seed": 0},
             method={
                 "anm": {"tau": "ladder", "tol": 3e-6, "max_iters": 4000},
-                "dft": {},
             },
         )
         out_a = tmp_path / "a"
@@ -308,7 +320,7 @@ class TestSweepCommand:
         cfg = write_config(
             tmp_path / "cfg.json",
             signal={"evolver": "exact", "t_max": 0.3, "n": 8, "seed": 0},
-            method={"anm": {"tau": 0.05, "max_iters": 3}, "dft": {}},
+            method={"anm": {"tau": 0.05, "max_iters": 3}},
         )
         out = tmp_path / "u"
         args = ["sweep", "--config", cfg, "--t-max", "0.3", "--method", "anm", "--out", str(out)]

@@ -9,6 +9,8 @@ from pathlib import Path
 
 import pytest
 
+from greenspec.cli import main
+
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
 
 EXPECTED = {
@@ -23,3 +25,8 @@ EXPECTED = {
 def test_demo_runs(name, capsys):
     runpy.run_path(str(DEMOS / name), run_name="__main__")
     assert EXPECTED[name] in capsys.readouterr().out
+
+
+def test_example_config_loads():
+    # the README quick start runs this file
+    assert main(["oracle", "--config", str(DEMOS / "config.example.json"), "--quiet"]) == 0

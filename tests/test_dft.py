@@ -2,14 +2,7 @@ import numpy as np
 import pytest
 from _oracles import golden_peak_fit, windowed_misfit
 
-from greenspec.dft import (
-    DftConfig,
-    _atom,
-    _fit_peak,
-    dirichlet_kernel,
-    extract_peaks_clean,
-    padded_spectrum,
-)
+from greenspec.dft import _PAD_FACTOR, _atom, _fit_peak, dirichlet_kernel, extract_peaks_clean
 from greenspec.spectrum import CANONICAL, SamplingGrid, TimeSignal, _wrap_distance
 
 
@@ -19,31 +12,21 @@ def make_signal(n, freqs, coeffs):
     return TimeSignal(SamplingGrid(0.0, n, 1.0), np.asarray(samples, dtype=complex), CANONICAL)
 
 
-class TestPaddedSpectrum:
+class TestDirichletKernel:
     def test_on_grid_atom_is_single_bin(self):
-        n, pad = 16, 4
-        f = 3 / n
-        y = make_signal(n, [f], [1.0])
-        freqs, values = padded_spectrum(y, DftConfig(pad_factor=pad))
-        assert len(values) == pad * n
-        hit = np.argmin(np.abs(freqs - f))
-        assert abs(values[hit]) == pytest.approx(n, abs=1e-10)
-        others = np.abs(np.delete(values, hit))
-        # off-bin samples of the kernel vanish only on the unpadded grid
-        unpadded = others[::pad]
-        assert np.all(np.abs(unpadded[:-1]) < 1e-10) or np.max(np.abs(values)) == pytest.approx(n)
-
-    def test_constant_signal_peaks_at_zero(self):
-        y = make_signal(8, [0.0], [1.0])
-        freqs, values = padded_spectrum(y, DftConfig(pad_factor=8))
-        assert freqs[np.argmax(np.abs(values))] == pytest.approx(0.0, abs=1e-12)
+        # off its own bin, the kernel of an on-grid atom vanishes on the unpadded grid
+        n = 16
+        k = np.arange(n)
+        values = dirichlet_kernel(3 / n - k / n, n)
+        assert abs(values[3]) == pytest.approx(n, abs=1e-10)
+        assert np.all(np.abs(np.delete(values, 3)) < 1e-10)
 
     def test_off_grid_atom_matches_kernel(self):
-        n, pad = 12, 16
+        n = 12
         f = 0.2937
         y = make_signal(n, [f], [1.0])
-        freqs, values = padded_spectrum(y, DftConfig(pad_factor=pad))
-        expected = dirichlet_kernel(f - freqs, n)
+        values = np.fft.fft(y.samples, 16 * n)
+        expected = dirichlet_kernel(f - np.fft.fftfreq(16 * n), n)
         np.testing.assert_allclose(values, expected, atol=1e-9)
 
     @pytest.mark.parametrize("n", [4, 5, 6])
@@ -53,41 +36,22 @@ class TestPaddedSpectrum:
         want = np.sum(np.exp(2j * np.pi * delta * np.arange(n)))
         assert dirichlet_kernel(delta, n) == pytest.approx(want, abs=1e-12)
 
-    def test_parseval(self):
-        rng = np.random.default_rng(0)
-        n, pad = 20, 16
-        samples = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        y = TimeSignal(SamplingGrid(0.0, n, 1.0), samples, CANONICAL)
-        _, values = padded_spectrum(y, DftConfig(pad_factor=pad))
-        lhs = np.sum(np.abs(values) ** 2)
-        rhs = pad * n * np.sum(np.abs(samples) ** 2)
-        assert lhs == pytest.approx(rhs, rel=1e-10)
-
-    def test_frequency_axis_centered(self):
-        y = make_signal(8, [0.1], [1.0])
-        freqs, _ = padded_spectrum(y, DftConfig(pad_factor=2))
-        assert freqs[0] == -0.5
-        assert freqs[-1] < 0.5
-        assert np.all(np.diff(freqs) > 0)
-
 
 class TestExtractPeaksClean:
     def test_single_off_grid_atom(self):
         n = 16
-        cfg = DftConfig(pad_factor=16)
         f = 0.2937
         y = make_signal(n, [f], [0.9])
-        spec = extract_peaks_clean(y, cfg)
+        spec = extract_peaks_clean(y)
         assert len(spec.poles) >= 1
         top = max(spec.poles, key=lambda p: abs(p.amplitude))
-        assert top.frequency == pytest.approx(f, abs=1.0 / (2 * cfg.pad_factor * n))
+        assert top.frequency == pytest.approx(f, abs=1.0 / (2 * _PAD_FACTOR * n))
         assert abs(top.amplitude) == pytest.approx(0.9, rel=0.02)
 
     def test_two_well_separated_atoms(self):
         n = 32
-        cfg = DftConfig(pad_factor=16, max_peaks=4)
         y = make_signal(n, [0.17, 0.63], [1.0, 0.6])
-        spec = extract_peaks_clean(y, cfg)
+        spec = extract_peaks_clean(y)
         top_two = sorted(spec.poles, key=lambda p: -abs(p.amplitude))[:2]
         top_two = sorted(top_two, key=lambda p: p.frequency)
         assert top_two[0].frequency == pytest.approx(0.17, abs=2e-3)
@@ -97,11 +61,10 @@ class TestExtractPeaksClean:
 
     def test_on_grid_atoms_recovered_exactly(self):
         n = 16
-        cfg = DftConfig(pad_factor=8, max_peaks=8)
         freqs = [2 / n, 7 / n, 11 / n]
         coeffs = [1.0, 0.8, 0.5]
         y = make_signal(n, freqs, coeffs)
-        spec = extract_peaks_clean(y, cfg)
+        spec = extract_peaks_clean(y)
         assert len(spec.poles) == 3
         got = sorted(spec.poles, key=lambda p: p.frequency)
         for pole, f, c in zip(got, freqs, coeffs):
@@ -111,7 +74,6 @@ class TestExtractPeaksClean:
     def test_residual_peak_magnitude_decreases(self):
         # re-run the subtraction loop manually to watch the residual
         n = 24
-        cfg = DftConfig(pad_factor=8, max_peaks=6, stop_fraction=0.01)
         rng = np.random.default_rng(1)
         y = make_signal(n, [0.11, 0.43, 0.77], [1.0, 0.7, 0.4])
         y = TimeSignal(
@@ -119,7 +81,7 @@ class TestExtractPeaksClean:
             y.samples + 0.01 * (rng.standard_normal(n) + 1j * rng.standard_normal(n)),
             CANONICAL,
         )
-        total = cfg.pad_factor * n
+        total = _PAD_FACTOR * n
         residual = np.fft.fft(y.samples, total)
         maxima = [np.max(np.abs(residual))]
         for _ in range(4):
@@ -130,23 +92,26 @@ class TestExtractPeaksClean:
         assert all(b <= a + 1e-9 for a, b in zip(maxima, maxima[1:]))
 
     def test_stop_fraction_limits_peaks(self):
+        # the second line is 3% of the first, below the 5% stop
         n = 32
-        cfg = DftConfig(pad_factor=8, max_peaks=8, stop_fraction=0.3)
-        y = make_signal(n, [0.2, 0.6], [1.0, 0.05])
-        spec = extract_peaks_clean(y, cfg)
+        y = make_signal(n, [0.2, 0.6], [1.0, 0.03])
+        spec = extract_peaks_clean(y)
         assert len(spec.poles) == 1
 
     def test_empty_signal(self):
         y = make_signal(8, [0.3], [0.0])
-        spec = extract_peaks_clean(y, DftConfig())
+        spec = extract_peaks_clean(y)
         assert spec.poles == ()
+
+    def test_one_sample_rejected(self):
+        with pytest.raises(ValueError, match="need at least two samples"):
+            extract_peaks_clean(make_signal(1, [0.3], [1.0]))
 
     def test_sub_resolution_pair_usually_merges(self):
         # two lines closer than 1/n: the windowed transform cannot split
         # them, so the extractor almost never returns two peaks that each
         # land on a separate true line
         n = 24
-        cfg = DftConfig(pad_factor=16, max_peaks=2, stop_fraction=0.05)
         rng = np.random.default_rng(7)
         sep = 0.4 / n
         failures = 0
@@ -155,7 +120,7 @@ class TestExtractPeaksClean:
             f0 = rng.uniform(0.1, 0.8)
             phases = np.exp(2j * np.pi * rng.uniform(0, 1, 2))
             y = make_signal(n, [f0, f0 + sep], list(phases))
-            spec = extract_peaks_clean(y, cfg)
+            spec = extract_peaks_clean(y)
             resolved = all(
                 any(abs(p.frequency - f_true) < sep / 4 for p in spec.poles)
                 for f_true in (f0, f0 + sep)
@@ -216,12 +181,3 @@ class TestTableAtom:
             assert np.all(np.isfinite(got))
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * n * abs(amp))
 
-
-class TestConfigValidation:
-    def test_bad_pad_factor(self):
-        with pytest.raises(ValueError):
-            DftConfig(pad_factor=0)
-
-    def test_bad_stop_fraction(self):
-        with pytest.raises(ValueError):
-            DftConfig(stop_fraction=1.5)

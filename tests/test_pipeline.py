@@ -77,6 +77,13 @@ class TestGridResolution:
         assert grid.n == 8
         assert grid.t_max == pytest.approx(7.0 / rmap.omega_max)
 
+    @pytest.mark.parametrize("t_max", [0.1, 0.26, 0.3])
+    def test_one_sample_window_rejected(self, t_max):
+        # the default spacing is 0.473, so these windows hold one sample
+        cfg = ExperimentConfig(signal=SignalConfig(t_max=t_max))
+        with pytest.raises(ValueError, match="need at least two samples"):
+            resolve_grid(cfg, resolve_rescale_map(cfg))
+
 
 class TestSimulate:
     def test_first_sample_is_time_zero_value(self):
@@ -124,8 +131,8 @@ class TestSimulate:
         gs = prepare_ground_state(cfg.model)
         green = green_sym if sig.use_sym else green_general
         shot = ShotConfig(shots=sig.shots, seed=sig.seed)
-        expected = np.array(
-            [green(h_eff, gs, t, sig.evolver, sig.trotter_steps, shot) for t in signal.grid.times()]
+        expected = np.concatenate(
+            [green(h_eff, gs, [t], sig.evolver, sig.trotter_steps, shot) for t in signal.grid.times()]
         )
         assert signal.samples.tobytes() == expected.tobytes()
 
@@ -374,6 +381,14 @@ class TestSweep:
         assert len(cells) == 1
         assert cells[0].error == "ValueError: need at least two samples"
 
+    def test_one_sample_window_fails_both_methods(self):
+        cfg = ExperimentConfig(signal=SignalConfig(t_max=0.26), anm=FAST_ANM)
+        cells = run_sweep(cfg, [0.26], [0])
+        assert [(c.method, c.n, c.error) for c in cells] == [
+            (method, -1, "ValueError: need at least two samples") for method in ("anm", "dft")
+        ]
+        assert all(math.isnan(c.epsilon) for c in cells)
+
     def test_empty_swept_window_recorded_not_raised(self):
         cfg = ExperimentConfig(signal=SignalConfig(evolver="exact", t0=0.1, t_max=0.5, n=41))
         (cell,) = run_sweep(cfg, [0.1], [0], methods=("dft",))
@@ -429,14 +444,13 @@ class TestConfigParsing:
         data = {
             "model": {"u": 4.0, "v": 0.745},
             "signal": {"evolver": "trotter2", "t_max": 0.5, "n": 12, "shots": 1000},
-            "method": {"anm": {"tau": "ladder"}, "dft": {"pad_factor": 8}},
+            "method": {"anm": {"tau": "ladder"}},
         }
         cfg = ExperimentConfig.from_dict(data)
         assert cfg.model == ModelParams(4.0, 0.745)
         assert cfg.signal.evolver == "trotter2"
         assert cfg.signal.shots == 1000
         assert cfg.anm.tau == "ladder"
-        assert cfg.dft.pad_factor == 8
 
     def test_signal_requires_extent_to_resolve(self):
         cfg = ExperimentConfig(signal=SignalConfig(t_max=None, n=None))
@@ -451,6 +465,7 @@ class TestConfigParsing:
             {"rescale": {"k_min": 4}},
             {"methd": {"anm": {"tau": 0.1}}},
             {"method": {"music": {}}},
+            {"method": {"dft": {"pad_factor": 8}}},  # the DFT baseline has fixed settings
         ],
     )
     def test_unknown_section_rejected(self, data):
@@ -466,7 +481,7 @@ class TestConfigParsing:
         data = {
             "model": {"u": 4, "v": 1},
             "signal": {"t0": -1, "t_max": 1, "n": None, "shots": None, "sigma": 0},
-            "method": {"anm": {"tau": 1, "tol": 1}, "dft": {"stop_fraction": 0.1}},
+            "method": {"anm": {"tau": 1, "tol": 1}},
         }
         cfg = ExperimentConfig.from_dict(data)
         assert (cfg.model.u, cfg.signal.t_max, cfg.signal.n, cfg.anm.tau) == (4, 1, None, 1)

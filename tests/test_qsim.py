@@ -212,16 +212,15 @@ class TestHadamardTest:
     def test_time_zero_xx(self):
         _, _, h_eff = build_hamiltonians(PARAMS)
         gs = prepare_ground_state(PARAMS)
-        e_z, e_my = hadamard_test(h_eff, gs, "X", "X", 0.0)
+        (e_z,), (e_my,) = hadamard_test(h_eff, gs, "X", "X", 0.0)
         assert e_z == pytest.approx(1.0, abs=1e-12)
         assert e_my == pytest.approx(0.0, abs=1e-12)
 
     def test_expectations_in_unit_disc(self):
         _, _, h_eff = build_hamiltonians(PARAMS)
         gs = prepare_ground_state(PARAMS)
-        for t in np.linspace(-2.0, 2.0, 11):
-            e_z, e_my = hadamard_test(h_eff, gs, "X", "Y", t)
-            assert e_z**2 + e_my**2 <= 1.0 + 1e-12
+        e_z, e_my = hadamard_test(h_eff, gs, "X", "Y", np.linspace(-2.0, 2.0, 11))
+        assert np.all(e_z**2 + e_my**2 <= 1.0 + 1e-12)
 
     def test_matches_ancilla_free_statevector_oracle(self):
         # <GS| e^{+i H_gs t} sigma_beta e^{-i H_ex t} sigma_alpha |GS>
@@ -235,7 +234,8 @@ class TestHadamardTest:
                 bra = expm(-1j * h_gs.matrix() * t) @ gs.amplitudes
                 ket = mats[beta] @ expm(-1j * h_ex.matrix() * t) @ mats[alpha] @ gs.amplitudes
                 expected = np.vdot(bra, ket)
-                got = complex(*hadamard_test(h_eff, gs, alpha, beta, t))
+                (e_z,), (e_my,) = hadamard_test(h_eff, gs, alpha, beta, t)
+                got = complex(e_z, e_my)
                 assert got == pytest.approx(expected, abs=1e-10)
 
     def test_invalid_pauli_rejected(self):
@@ -248,21 +248,22 @@ class TestHadamardTest:
         _, _, h_eff = build_hamiltonians(PARAMS)
         gs = prepare_ground_state(PARAMS)
         shot = ShotConfig(shots=500, seed=9)
-        a = hadamard_test(h_eff, gs, "X", "X", 0.4, shot=shot)
-        b = hadamard_test(h_eff, gs, "X", "X", 0.4, shot=shot)
-        assert a == b
-        c = hadamard_test(h_eff, gs, "X", "X", 0.4, shot=ShotConfig(shots=500, seed=10))
-        assert c != a
+        a = np.concatenate(hadamard_test(h_eff, gs, "X", "X", 0.4, shot=shot))
+        b = np.concatenate(hadamard_test(h_eff, gs, "X", "X", 0.4, shot=shot))
+        assert np.array_equal(a, b)
+        other = ShotConfig(shots=500, seed=10)
+        c = np.concatenate(hadamard_test(h_eff, gs, "X", "X", 0.4, shot=other))
+        assert not np.array_equal(c, a)
 
     def test_shot_estimator_is_unbiased(self):
         _, _, h_eff = build_hamiltonians(PARAMS)
         gs = prepare_ground_state(PARAMS)
         t = 0.6
-        exact, _ = hadamard_test(h_eff, gs, "X", "X", t)
+        (exact,), _ = hadamard_test(h_eff, gs, "X", "X", t)
         shots = 400
         n_seeds = 300
         draws = [
-            hadamard_test(h_eff, gs, "X", "X", t, shot=ShotConfig(shots, seed=s))[0]
+            hadamard_test(h_eff, gs, "X", "X", t, shot=ShotConfig(shots, seed=s))[0][0]
             for s in range(n_seeds)
         ]
         std_err = np.sqrt((1 - exact**2) / shots / n_seeds)
@@ -273,25 +274,22 @@ class TestGreenFunctions:
     def test_sym_at_time_zero(self):
         _, _, h_eff = build_hamiltonians(PARAMS)
         gs = prepare_ground_state(PARAMS)
-        assert green_sym(h_eff, gs, 0.0) == pytest.approx(1.0 + 0j, abs=1e-12)
+        assert green_sym(h_eff, gs, 0.0)[0] == pytest.approx(1.0 + 0j, abs=1e-12)
 
     def test_sym_matches_printed_pole_table(self):
         # two positive poles with three-decimal weights (0.525, 0.548) and
         # (0.475, 3.042)
         _, _, h_eff = build_hamiltonians(PARAMS)
         gs = prepare_ground_state(PARAMS)
-        for t in (0.1, 0.5, 1.0):
-            val = green_sym(h_eff, gs, t)
-            ref = 0.525 * np.exp(1j * 0.548 * t) + 0.475 * np.exp(1j * 3.042 * t)
-            assert val == pytest.approx(ref, abs=2e-3)
+        t = np.array([0.1, 0.5, 1.0])
+        ref = 0.525 * np.exp(1j * 0.548 * t) + 0.475 * np.exp(1j * 3.042 * t)
+        assert green_sym(h_eff, gs, t) == pytest.approx(ref, abs=2e-3)
 
     def test_sym_conjugation_symmetry(self):
         _, _, h_eff = build_hamiltonians(PARAMS)
         gs = prepare_ground_state(PARAMS)
-        for t in (0.2, 0.9, 1.7):
-            assert np.conj(green_sym(h_eff, gs, t)) == pytest.approx(
-                green_sym(h_eff, gs, -t), abs=1e-12
-            )
+        t = np.array([0.2, 0.9, 1.7])
+        assert np.conj(green_sym(h_eff, gs, t)) == pytest.approx(green_sym(h_eff, gs, -t), abs=1e-12)
 
     def test_sym_equals_oracle_synthesis(self):
         _, _, h_eff = build_hamiltonians(PARAMS)
@@ -299,46 +297,45 @@ class TestGreenFunctions:
         spec = spectral_oracle(PARAMS)
         grid = SamplingGrid(t0=0.0, n=24, dt=0.21)
         reference = synthesize_signal(spec, grid)
-        for t, ref in zip(grid.times(), reference.samples):
-            assert green_sym(h_eff, gs, t) == pytest.approx(ref, abs=1e-10)
+        assert green_sym(h_eff, gs, grid.times()) == pytest.approx(reference.samples, abs=1e-10)
 
     def test_general_at_time_zero(self):
         _, _, h_eff = build_hamiltonians(PARAMS)
         gs = prepare_ground_state(PARAMS)
-        assert green_general(h_eff, gs, 0.0) == pytest.approx(2.0 + 0j, abs=1e-12)
+        assert green_general(h_eff, gs, 0.0)[0] == pytest.approx(2.0 + 0j, abs=1e-12)
 
     def test_general_two_sided_symmetry(self):
         # vanishing per-line Z expectation makes the two-sided signal even
         # up to conjugation
         _, _, h_eff = build_hamiltonians(PARAMS)
         gs = prepare_ground_state(PARAMS)
-        for t in (0.3, 1.2):
-            fwd = green_general(h_eff, gs, t)
-            bwd = green_general(h_eff, gs, -t)
-            assert fwd == pytest.approx(np.conj(bwd), abs=1e-10)
+        t = np.array([0.3, 1.2])
+        fwd = green_general(h_eff, gs, t)
+        bwd = green_general(h_eff, gs, -t)
+        assert fwd == pytest.approx(np.conj(bwd), abs=1e-10)
 
     def test_general_matches_eigendecomposition_oracle(self):
         _, _, h_eff = build_hamiltonians(PARAMS)
         gs = prepare_ground_state(PARAMS)
         spec = spectral_oracle(PARAMS)
-        for t in (-1.1, 0.4, 0.9):
-            expected = sum(
-                abs(p.amplitude)
-                * (
-                    (1 + p.z_expect) * np.exp(-1j * p.frequency * t)
-                    + (1 - p.z_expect) * np.exp(1j * p.frequency * t)
-                )
-                for p in spec.poles
+        t = np.array([-1.1, 0.4, 0.9])
+        expected = sum(
+            abs(p.amplitude)
+            * (
+                (1 + p.z_expect) * np.exp(-1j * p.frequency * t)
+                + (1 - p.z_expect) * np.exp(1j * p.frequency * t)
             )
-            assert green_general(h_eff, gs, t) == pytest.approx(expected, abs=1e-10)
+            for p in spec.poles
+        )
+        assert green_general(h_eff, gs, t) == pytest.approx(expected, abs=1e-10)
 
     def test_cross_term_antisymmetry(self):
         _, _, h_eff = build_hamiltonians(PARAMS)
         gs = prepare_ground_state(PARAMS)
-        for t in (0.4, 1.3):
-            yx = complex(*hadamard_test(h_eff, gs, "X", "Y", t))
-            xy = complex(*hadamard_test(h_eff, gs, "Y", "X", t))
-            assert yx == pytest.approx(-xy, abs=1e-10)
+        t = np.array([0.4, 1.3])
+        yx_z, yx_my = hadamard_test(h_eff, gs, "X", "Y", t)
+        xy_z, xy_my = hadamard_test(h_eff, gs, "Y", "X", t)
+        assert yx_z + 1j * yx_my == pytest.approx(-(xy_z + 1j * xy_my), abs=1e-10)
 
 
 # (t0, t_max, n) grids: one-sided from t = 0, two-sided through t = 0, n = 2
@@ -364,25 +361,17 @@ class TestBatchedTimes:
         gs = prepare_ground_state(PARAMS)
         for alpha, beta in (("X", "X"), ("Y", "Y"), ("X", "Y"), ("Y", "X")):
             e_z, e_my = hadamard_test(h_eff, gs, alpha, beta, times, evolver, 2, shot)
-            scalar = [hadamard_test(h_eff, gs, alpha, beta, t, evolver, 2, shot) for t in times]
-            assert e_z.tobytes() == np.array([z for z, _ in scalar]).tobytes()
-            assert e_my.tobytes() == np.array([my for _, my in scalar]).tobytes()
+            scalar = [hadamard_test(h_eff, gs, alpha, beta, [t], evolver, 2, shot) for t in times]
+            assert e_z.tobytes() == np.concatenate([z for z, _ in scalar]).tobytes()
+            assert e_my.tobytes() == np.concatenate([my for _, my in scalar]).tobytes()
 
     @pytest.mark.parametrize("green", [green_sym, green_general])
     def test_green_rows_match_scalar_calls(self, green, evolver, shot, times):
         _, _, h_eff = build_hamiltonians(PARAMS)
         gs = prepare_ground_state(PARAMS)
         batched = green(h_eff, gs, times, evolver, 2, shot)
-        scalar = np.array([green(h_eff, gs, t, evolver, 2, shot) for t in times])
+        scalar = np.concatenate([green(h_eff, gs, [t], evolver, 2, shot) for t in times])
         assert batched.tobytes() == scalar.tobytes()
-
-    def test_scalar_time_gives_python_numbers(self):
-        _, _, h_eff = build_hamiltonians(PARAMS)
-        gs = prepare_ground_state(PARAMS)
-        shot = ShotConfig(shots=100, seed=1)
-        assert all(type(e) is float for e in hadamard_test(h_eff, gs, "X", "Y", 0.3, shot=shot))
-        assert type(green_sym(h_eff, gs, 0.3)) is complex
-        assert type(green_general(h_eff, gs, np.float64(0.3), shot=shot)) is complex
 
     @pytest.mark.parametrize(
         "green, expected", [(green_sym, 1), (green_general, 2)], ids=["sym", "general"]
@@ -453,7 +442,7 @@ class TestGateErrorMitigation:
         _, _, h_eff = build_hamiltonians(PARAMS)
         gs = prepare_ground_state(PARAMS)
         ts = np.linspace(0.0, 0.5, n)
-        samples = np.array([scale * green_sym(h_eff, gs, t) for t in ts])
+        samples = scale * green_sym(h_eff, gs, ts)
         return TimeSignal(SamplingGrid(0.0, n, ts[1] - ts[0]), samples, "physical")
 
     def test_unscaled_signal_untouched(self):
@@ -473,7 +462,7 @@ class TestGateErrorMitigation:
         gs = prepare_ground_state(PARAMS)
         ts = np.linspace(0.0, 0.5, 16)
         shot = ShotConfig(shots=100000, seed=12)
-        samples = np.array([green_sym(h_eff, gs, t, shot=shot) for t in ts])
+        samples = green_sym(h_eff, gs, ts, shot=shot)
         signal = TimeSignal(SamplingGrid(0.0, 16, ts[1] - ts[0]), samples, "physical")
         _, alpha = mitigate_gate_error(signal)
         assert abs(alpha - 1.0) < 0.03
