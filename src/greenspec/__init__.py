@@ -17,7 +17,7 @@ from .anm import (
     select_tau,
 )
 from .dft import extract_peaks_clean
-from .metrics import MatchReport, match_poles, reconstruction_error
+from .metrics import MatchReport, match_poles
 from .pipeline import (
     ExperimentConfig,
     SignalConfig,
@@ -49,7 +49,6 @@ from .spectrum import (
     RescaleMap,
     SamplingGrid,
     TimeSignal,
-    add_noise,
     build_rescale_map,
     energy_bounds,
     from_canonical,

@@ -342,8 +342,6 @@ def atomic_denoise(
         raise ValueError(f"atomic_denoise needs a numeric tau, not {config.tau!r}")
     samples = np.asarray(y.samples, dtype=complex)
     n = len(samples)
-    if n < 2:
-        raise ValueError("need at least two samples")
     if n < 4:
         warnings.warn(
             f"n = {n}: separation guarantees are vacuous for so few samples",
@@ -383,8 +381,6 @@ def atomic_norm(x: TimeSignal) -> float:
     if x.domain != "canonical":
         raise ValueError("atomic_norm expects a canonical-domain signal")
     samples = np.asarray(x.samples, dtype=complex)
-    if len(samples) < 2:
-        raise ValueError("need at least two samples")
     scale = float(np.linalg.norm(samples))
     if scale == 0.0:
         return 0.0

@@ -108,7 +108,6 @@ def cmd_simulate(args) -> int:
         "trotter_steps": config.signal.trotter_steps,
         "shots": config.signal.shots,
         "seed": config.signal.seed,
-        "sigma": config.signal.sigma,
         "use_sym": config.signal.use_sym,
         "convention": args.convention,
     }

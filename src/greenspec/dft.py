@@ -118,8 +118,6 @@ def extract_peaks_clean(y: TimeSignal) -> LineSpectrum:
     if y.domain != CANONICAL:
         raise ValueError("extract_peaks_clean expects a canonical-domain signal")
     n = y.grid.n
-    if n < 2:
-        raise ValueError("need at least two samples")
     total = _PAD_FACTOR * n
     residual = np.fft.fft(y.samples, total)
     first_peak = float(np.max(np.abs(residual)))

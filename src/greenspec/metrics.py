@@ -53,8 +53,11 @@ def match_poles(truth: LineSpectrum, estimate: LineSpectrum) -> MatchReport:
 
     Cost is |w_l - w_hat_m|; pairs farther apart than a quarter of the joint
     frequency span cost more than every in-gate pair together, and any such
-    pair the assignment still makes is rejected to the unmatched lists.
+    pair the assignment still makes is rejected to the unmatched lists.  An
+    empty truth has no error to score and raises ValueError.
     """
+    if not truth.poles:
+        raise ValueError("true spectrum is empty")
     if truth.domain != estimate.domain:
         raise ValueError("spectra must share a domain")
     wt = truth.frequencies()
@@ -84,9 +87,3 @@ def match_poles(truth: LineSpectrum, estimate: LineSpectrum) -> MatchReport:
         raise ValueError("true spectrum has zero total weight")
     return MatchReport(pairs, unmatched_true, unmatched_est, numer / denom)
 
-
-def reconstruction_error(truth: LineSpectrum, estimate: LineSpectrum) -> float:
-    """Amplitude-weighted frequency-and-amplitude error of the estimate."""
-    if len(truth.poles) == 0:
-        raise ValueError("true spectrum is empty")
-    return match_poles(truth, estimate).epsilon

@@ -33,7 +33,6 @@ from .spectrum import (
     SamplingGrid,
     TimeSignal,
     _golden_min,
-    add_noise,
     build_rescale_map,
     energy_bounds,
     from_canonical,
@@ -58,7 +57,6 @@ class SignalConfig:
     trotter_steps: int = 2
     shots: int | None = None
     seed: int = 0
-    sigma: float = 0.0
     t0: float = 0.0
     t_max: float | None = None
     n: int | None = None
@@ -72,7 +70,6 @@ class SignalConfig:
         for key, bound, ok in (
             ("shots", ">= 1 when given", self.shots is None or self.shots >= 1),
             ("trotter_steps", ">= 1", self.trotter_steps >= 1),
-            ("sigma", "finite and >= 0", 0.0 <= self.sigma < math.inf),
             ("seed", ">= 0", self.seed >= 0),  # numpy takes no negative seed
             ("n", ">= 2", self.n is None or self.n >= 2),
         ):
@@ -165,8 +162,6 @@ def resolve_grid(config: ExperimentConfig, rmap: RescaleMap) -> SamplingGrid:
         n = int(math.floor((sig.t_max - sig.t0) * rmap.omega_max)) + 1
     else:
         raise ValueError("signal config needs t_max, n, or both")
-    if n < 2:
-        raise ValueError("need at least two samples")
     return SamplingGrid(t0=sig.t0, n=n, dt=1.0 / rmap.omega_max)
 
 
@@ -180,7 +175,7 @@ def simulate_signal(config: ExperimentConfig) -> TimeSignal:
     shot = qsim.ShotConfig(shots=sig.shots, seed=sig.seed)
     green = qsim.green_sym if sig.use_sym else qsim.green_general
     samples = green(h_eff, gs, grid.times(), sig.evolver, sig.trotter_steps, shot)
-    return add_noise(TimeSignal(grid, samples, PHYSICAL), sig.sigma, seed=sig.seed + 0x5EED)
+    return TimeSignal(grid, samples, PHYSICAL)
 
 
 def oracle_spectrum(config: ExperimentConfig) -> LineSpectrum:
@@ -203,12 +198,11 @@ def oracle_spectrum(config: ExperimentConfig) -> LineSpectrum:
 
 
 def noise_scale_estimate(config: ExperimentConfig) -> float:
-    """Per-sample complex noise std implied by the signal configuration."""
+    """Per-sample complex shot-noise std implied by the signal configuration."""
     sig = config.signal
-    var = sig.sigma**2
-    if sig.shots is not None:
-        var += (2.0 if sig.use_sym else 4.0) / sig.shots
-    return math.sqrt(var)
+    if sig.shots is None:
+        return 0.0
+    return math.sqrt((2.0 if sig.use_sym else 4.0) / sig.shots)
 
 
 def _peaks_and_fit(y: TimeSignal, sol: anm.DenoisedSolution) -> tuple[float, tuple[Pole, ...]]:
@@ -417,7 +411,7 @@ def _run_cell(
             base_span = config.signal.t_max - config.signal.t0
             rate = (config.signal.n - 1) / base_span
             span = t_max - t0
-            sig = replace(sig, n=max(2, int(math.floor(span * rate)) + 1))
+            sig = replace(sig, n=int(math.floor(span * rate)) + 1)
         cell_cfg = replace(config, signal=sig)
         signal = simulate_signal(cell_cfg)
         out = reconstruct(signal, cell_cfg, method)

@@ -71,15 +71,19 @@ class LineSpectrum:
 
 @dataclass(frozen=True)
 class SamplingGrid:
-    """Uniform time grid: sample j sits at t0 + j*dt for j in 0..n-1."""
+    """Uniform time grid: sample j sits at t0 + j*dt for j in 0..n-1, n >= 2.
+
+    Every signal lives on one, so code that takes a signal need not check its
+    length again.
+    """
 
     t0: float
     n: int
     dt: float
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError("sample count must be positive")
+        if self.n < 2:
+            raise ValueError("need at least two samples")
         if self.dt <= 0:
             raise ValueError("sample spacing must be positive")
 
@@ -239,21 +243,6 @@ def synthesize_signal(spectrum: LineSpectrum, grid: SamplingGrid) -> TimeSignal:
     for p in spectrum.poles:
         samples += p.amplitude * np.exp(1j * scale * p.frequency * t)
     return TimeSignal(grid, samples, spectrum.domain)
-
-
-def add_noise(signal: TimeSignal, sigma: float, seed: int) -> TimeSignal:
-    """Add circularly-symmetric complex Gaussian noise of std ``sigma``.
-
-    Each of the real and imaginary parts gets independent N(0, sigma^2/2)
-    noise, so E|eps_j|^2 = sigma^2.  Deterministic for a fixed seed.
-    """
-    if sigma < 0:
-        raise ValueError("sigma must be non-negative")
-    if sigma == 0:
-        return signal
-    rng = np.random.default_rng(seed)
-    noise = (rng.standard_normal(signal.grid.n) + 1j * rng.standard_normal(signal.grid.n))
-    return TimeSignal(signal.grid, signal.samples + noise * (sigma / np.sqrt(2.0)), signal.domain)
 
 
 def _golden_min(f, a: float, b: float, iters: int) -> float:

@@ -146,8 +146,8 @@ class TestAtomicDenoise:
         assert np.linalg.norm(y.samples - sol.x_hat) <= 0.2 / np.sqrt(24) * 10
 
     def test_too_few_samples_rejected(self):
-        y = TimeSignal(SamplingGrid(0.0, 1, 1.0), np.ones(1), CANONICAL)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="need at least two samples"):
+            y = TimeSignal(SamplingGrid(0.0, 1, 1.0), np.ones(1), CANONICAL)
             atomic_denoise(y, AnmConfig(tau=0.1))
 
     def test_degenerate_sample_counts_warn_but_run(self):

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import os
@@ -41,6 +42,13 @@ class TestOracleCommand:
         new = write_config(tmp_path / "new.json", method={"anm": {"tol": 1e-8}})
         assert main(["oracle", "--config", old, "--quiet"]) == 1
         assert main(["oracle", "--config", new, "--quiet"]) == 0
+
+    def test_config_has_no_gaussian_noise(self, tmp_path, capsys):
+        # finite-shot readout is the only noise; "sigma" is an unknown key
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"signal": {"sigma": 0.0}}))
+        assert main(["oracle", "--config", str(cfg), "--quiet"]) == 1
+        assert "bad config" in capsys.readouterr().err
 
 
 class TestSimulateCommand:
@@ -110,7 +118,6 @@ class TestSimulateCommand:
         [
             ({"signal": {"t_max": 0.3, "shots": 0}}, "shots"),
             ({"signal": {"t_max": 0.3, "trotter_steps": 0}}, "trotter_steps"),
-            ({"signal": {"t_max": 0.3, "sigma": -1.0}}, "sigma"),
             ({"signal": {"n": 0}}, "n"),
             ({"signal": {"t_max": 0.3, "n": 1}}, "n"),
             ({"signal": {"t_max": 0.3, "shots": 100, "seed": -1}}, "seed"),
@@ -349,10 +356,16 @@ class TestSweepCommand:
         assert [r.split(",")[4] for r in rows[1:]] == [seed]
 
     def test_without_config(self, tmp_path):
-        # the default config sets no window; the theory threshold needs none
+        # the default config sets no window; the theory threshold needs none.
+        # At the default spacing of 0.473 the window 0.01 holds one sample
+        # and the window 1.0 three
         out = tmp_path / "d"
-        args = ["sweep", "--t-max", "0.01,0.05", "--method", "dft", "--out", str(out), "--quiet"]
+        args = ["sweep", "--t-max", "0.01,1.0", "--method", "dft", "--out", str(out), "--quiet"]
         assert main(args) == 0
-        assert (out / "sweep.csv").exists()
+        with open(out / "sweep.csv", newline="") as fh:
+            failed, scored = csv.DictReader(fh)
+        assert (failed["t_max"], failed["n"], failed["epsilon"]) == ("0.01", "-1", "nan")
+        assert (scored["t_max"], scored["method"], scored["n"]) == ("1", "dft", "3")
+        assert math.isfinite(float(scored["epsilon"]))
         meta = load_json(out / "sweep_meta.json")
         assert meta["theory_threshold_t_max"] > 0

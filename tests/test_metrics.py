@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from greenspec.metrics import match_poles, reconstruction_error
+from greenspec.metrics import match_poles
 from greenspec.spectrum import PHYSICAL, LineSpectrum, Pole
 
 
@@ -80,13 +80,13 @@ class TestMatchPoles:
 
 class TestReconstructionError:
     def test_zero_for_identical(self):
-        assert reconstruction_error(TRUTH, TRUTH) == 0.0
+        assert match_poles(TRUTH, TRUTH).epsilon == 0.0
 
     def test_printed_regression_values(self):
         # frozen from direct evaluation of the error functional on the
         # printed three-decimal tables
-        assert reconstruction_error(TRUTH, EST_ANM) == pytest.approx(0.0060106, abs=1e-6)
-        assert reconstruction_error(TRUTH, EST_DFT) == pytest.approx(0.0967650, abs=1e-6)
+        assert match_poles(TRUTH, EST_ANM).epsilon == pytest.approx(0.0060106, abs=1e-6)
+        assert match_poles(TRUTH, EST_DFT).epsilon == pytest.approx(0.0967650, abs=1e-6)
 
     def test_amplitude_scale_invariance(self):
         lam = 3.7
@@ -96,8 +96,8 @@ class TestReconstructionError:
         est_s = LineSpectrum(
             tuple(Pole(lam * p.amplitude, p.frequency) for p in EST_ANM.poles), PHYSICAL
         )
-        assert reconstruction_error(truth_s, est_s) == pytest.approx(
-            reconstruction_error(TRUTH, EST_ANM), rel=1e-12
+        assert match_poles(truth_s, est_s).epsilon == pytest.approx(
+            match_poles(TRUTH, EST_ANM).epsilon, rel=1e-12
         )
 
     def test_zero_iff_identical_for_full_matchings(self):
@@ -108,22 +108,26 @@ class TestReconstructionError:
                 freqs = np.sort(rng.uniform(-3, 3, 3))
             amps = rng.uniform(0.1, 1.0, 3)
             truth = spec(*zip(amps, freqs))
-            assert reconstruction_error(truth, truth) == 0.0
+            assert match_poles(truth, truth).epsilon == 0.0
             bumped = spec(*zip(amps, freqs + rng.uniform(1e-4, 1e-2, 3)))
-            assert reconstruction_error(truth, bumped) > 0.0
+            assert match_poles(truth, bumped).epsilon > 0.0
 
     def test_missing_pole_contributes_full_weight(self):
         truth = spec((1.0, 2.0), (0.5, -1.0))
         est = spec((1.0, 2.0))
         # unmatched true pole adds |c| (|w| + 1) = 0.5 * 2 to the numerator
         denom = 1.0 * 3.0 + 0.5 * 2.0
-        assert reconstruction_error(truth, est) == pytest.approx(1.0 / denom)
+        assert match_poles(truth, est).epsilon == pytest.approx(1.0 / denom)
 
     def test_empty_truth_rejected(self):
-        with pytest.raises(ValueError):
-            reconstruction_error(LineSpectrum((), PHYSICAL), TRUTH)
+        with pytest.raises(ValueError, match="true spectrum is empty"):
+            match_poles(LineSpectrum((), PHYSICAL), TRUTH)
+
+    def test_empty_truth_and_estimate_rejected(self):
+        with pytest.raises(ValueError, match="true spectrum is empty"):
+            match_poles(LineSpectrum((), PHYSICAL), LineSpectrum((), PHYSICAL))
 
     def test_domain_mismatch_rejected(self):
         canon = LineSpectrum((Pole(1.0, 0.5),), "canonical")
         with pytest.raises(ValueError):
-            reconstruction_error(TRUTH, canon)
+            match_poles(TRUTH, canon)

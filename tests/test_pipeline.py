@@ -37,12 +37,20 @@ from greenspec.spectrum import (
     Pole,
     SamplingGrid,
     TimeSignal,
-    add_noise,
     synthesize_signal,
 )
 
 
 FAST_ANM = AnmConfig(tau="ladder", tol=3e-6, max_iters=6000)
+
+
+def with_noise(signal, sigma, seed):
+    """``signal`` plus circular complex Gaussian noise of std ``sigma``; itself at 0."""
+    if sigma == 0:
+        return signal
+    rng = np.random.default_rng(seed)
+    noise = rng.standard_normal(signal.grid.n) + 1j * rng.standard_normal(signal.grid.n)
+    return TimeSignal(signal.grid, signal.samples + noise * (sigma / np.sqrt(2.0)), signal.domain)
 
 
 class TestGridResolution:
@@ -154,9 +162,8 @@ class TestOracleSpectrum:
 
 
 class TestNoiseEstimate:
-    def test_gaussian_only(self):
-        cfg = ExperimentConfig(signal=SignalConfig(t_max=1.0, sigma=0.3))
-        assert noise_scale_estimate(cfg) == pytest.approx(0.3)
+    def test_noiseless_is_zero(self):
+        assert noise_scale_estimate(ExperimentConfig(signal=SignalConfig(t_max=1.0))) == 0.0
 
     def test_shot_noise_bound(self):
         cfg = ExperimentConfig(signal=SignalConfig(t_max=1.0, shots=10000))
@@ -224,7 +231,7 @@ class TestTauPolicies:
     def test_auto_is_its_numeric_tau(self, sigma):
         # sigma = 0 exercises the TAU_FLOOR_REL floor, sigma = 0.05 the noise rule
         truth = LineSpectrum((Pole(1.0, 0.2), Pole(0.6, 0.55)), CANONICAL)
-        y = add_noise(synthesize_signal(truth, SamplingGrid(0.0, 16, 1.0)), sigma, seed=3)
+        y = with_noise(synthesize_signal(truth, SamplingGrid(0.0, 16, 1.0)), sigma, seed=3)
         tau = max(select_tau(sigma, 16), TAU_FLOOR_REL * float(np.linalg.norm(y.samples)))
         cfg = AnmConfig(tol=3e-6)
         _, auto = anm_reconstruct_canonical(y, replace(cfg, tau="auto"), sigma)
@@ -260,7 +267,7 @@ class TestLadderNoiseStop:
     def signal(sigma):
         # a weak third line that the strongest weights shrink away
         truth = LineSpectrum((Pole(1.0, 0.2), Pole(0.6, 0.55), Pole(0.15, 0.8)), CANONICAL)
-        return add_noise(synthesize_signal(truth, SamplingGrid(0.0, 16, 1.0)), sigma, seed=3)
+        return with_noise(synthesize_signal(truth, SamplingGrid(0.0, 16, 1.0)), sigma, seed=3)
 
     @staticmethod
     def candidates(y, sigma):
@@ -389,6 +396,18 @@ class TestSweep:
         ]
         assert all(math.isnan(c.epsilon) for c in cells)
 
+    def test_swept_window_keeps_the_sampling_rate(self):
+        # criterion 04 samples 25.9 times per unit time, so the window 0.03
+        # holds one sample: the cell fails, as it does without n, and is not
+        # run at n = 2 and another rate
+        cfg = ExperimentConfig(signal=SignalConfig(evolver="trotter2", t_max=0.27, n=8))
+        (cell,) = run_sweep(cfg, [0.03], [0], methods=("dft",))
+        assert (cell.n, cell.error) == (-1, "ValueError: n must be >= 2, got 1")
+        assert math.isnan(cell.epsilon)
+        t_max_only = replace(cfg, signal=replace(cfg.signal, n=None))
+        (cell,) = run_sweep(t_max_only, [0.03], [0], methods=("dft",))
+        assert (cell.n, cell.error) == (-1, "ValueError: need at least two samples")
+
     def test_empty_swept_window_recorded_not_raised(self):
         cfg = ExperimentConfig(signal=SignalConfig(evolver="exact", t0=0.1, t_max=0.5, n=41))
         (cell,) = run_sweep(cfg, [0.1], [0], methods=("dft",))
@@ -480,7 +499,7 @@ class TestConfigParsing:
     def test_int_for_float_and_null_for_none_accepted(self):
         data = {
             "model": {"u": 4, "v": 1},
-            "signal": {"t0": -1, "t_max": 1, "n": None, "shots": None, "sigma": 0},
+            "signal": {"t0": -1, "t_max": 1, "n": None, "shots": None},
             "method": {"anm": {"tau": 1, "tol": 1}},
         }
         cfg = ExperimentConfig.from_dict(data)
@@ -496,9 +515,6 @@ class TestConfigParsing:
         [
             ({"shots": 0}, "shots"),
             ({"trotter_steps": 0}, "trotter_steps"),
-            ({"sigma": -1.0}, "sigma"),
-            ({"sigma": math.nan}, "sigma"),
-            ({"sigma": math.inf}, "sigma"),
             ({"n": 0}, "n"),
             ({"t_max": 0.3, "n": 1}, "n"),  # an oversampled grid spaces samples span/(n - 1)
             ({"seed": -1}, "seed"),

@@ -12,7 +12,6 @@ from greenspec.spectrum import (
     RescaleMap,
     SamplingGrid,
     TimeSignal,
-    add_noise,
     build_rescale_map,
     energy_bounds,
     from_canonical,
@@ -185,7 +184,7 @@ class TestSynthesize:
         )
 
     def test_impurity_pole_table_at_time_zero(self):
-        grid = SamplingGrid(t0=0.0, n=1, dt=0.1)
+        grid = SamplingGrid(t0=0.0, n=2, dt=0.1)
         both = LineSpectrum(
             (
                 Pole(0.525, 0.548),
@@ -210,35 +209,6 @@ class TestSynthesize:
         )
 
 
-class TestAddNoise:
-    def test_zero_sigma_identity(self):
-        grid = SamplingGrid(0.0, 8, 1.0)
-        signal = TimeSignal(grid, np.ones(8), CANONICAL)
-        assert add_noise(signal, 0.0, seed=1) is signal
-
-    def test_deterministic_for_seed(self):
-        grid = SamplingGrid(0.0, 32, 1.0)
-        signal = TimeSignal(grid, np.ones(32), CANONICAL)
-        a = add_noise(signal, 0.3, seed=42)
-        b = add_noise(signal, 0.3, seed=42)
-        np.testing.assert_array_equal(a.samples, b.samples)
-        c = add_noise(signal, 0.3, seed=43)
-        assert np.any(c.samples != a.samples)
-
-    def test_noise_power(self):
-        grid = SamplingGrid(0.0, 256, 1.0)
-        signal = TimeSignal(grid, np.zeros(256), CANONICAL)
-        noisy = add_noise(signal, 0.1, seed=7)
-        power = np.mean(np.abs(noisy.samples) ** 2)
-        assert abs(power - 0.01) < 0.002
-
-    def test_negative_sigma_rejected(self):
-        grid = SamplingGrid(0.0, 4, 1.0)
-        signal = TimeSignal(grid, np.zeros(4), CANONICAL)
-        with pytest.raises(ValueError):
-            add_noise(signal, -0.1, seed=0)
-
-
 class TestValidation:
     def test_duplicate_frequencies_rejected(self):
         with pytest.raises(ValueError):
@@ -247,6 +217,10 @@ class TestValidation:
     def test_canonical_range_enforced(self):
         with pytest.raises(ValueError):
             LineSpectrum((Pole(1.0, 1.5),), CANONICAL)
+
+    def test_one_sample_grid_rejected(self):
+        with pytest.raises(ValueError, match="need at least two samples"):
+            SamplingGrid(0.0, 1, 1.0)
 
     def test_sample_count_must_match_grid(self):
         with pytest.raises(ValueError):
