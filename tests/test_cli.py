@@ -65,6 +65,15 @@ class TestSimulateCommand:
         assert meta["model"] == {"u": 4.0, "v": 0.745}
         assert meta["evolver"] == "exact"
 
+    def test_metadata_names_shots_as_the_only_noise(self, tmp_path):
+        cfg = write_config(tmp_path / "cfg.json")
+        out_dir = tmp_path / "out"
+        assert main(["simulate", "--config", cfg, "--out", str(out_dir), "--quiet"]) == 0
+        meta = load_json(out_dir / "signal_meta.json")
+        assert set(meta) == {
+            "model", "evolver", "trotter_steps", "shots", "seed", "use_sym", "convention"
+        }
+
     def test_bad_config_is_usage_error(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"signal": {"evolver": "magic", "t_max": 1.0}}))

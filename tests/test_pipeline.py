@@ -53,6 +53,25 @@ def with_noise(signal, sigma, seed):
     return TimeSignal(signal.grid, signal.samples + noise * (sigma / np.sqrt(2.0)), signal.domain)
 
 
+class TestNoiseHelper:
+    def test_zero_sigma_returns_input(self):
+        signal = TimeSignal(SamplingGrid(0.0, 8, 1.0), np.ones(8), CANONICAL)
+        assert with_noise(signal, 0.0, seed=1) is signal
+
+    def test_samples_are_pinned(self):
+        # the noisy signals the tau tests score are these draws, bit for bit
+        signal = TimeSignal(SamplingGrid(0.0, 4, 1.0), np.ones(4), CANONICAL)
+        expected = np.array(
+            [
+                1.0646402540313162 - 0.4138770636692108j,
+                0.7793860558453345 - 0.2762339878873498j,
+                1.1591947388512898 + 0.027119044796762897j,
+                1.1995239067315087 - 0.06708518446384797j,
+            ]
+        )
+        assert with_noise(signal, 0.3, seed=42).samples.tobytes() == expected.tobytes()
+
+
 class TestGridResolution:
     def test_default_grid_follows_spacing_rule(self):
         cfg = ExperimentConfig(signal=SignalConfig(t_max=2.0))
@@ -117,6 +136,13 @@ class TestSimulate:
         shots = 100000
         noisy = simulate_signal(ExperimentConfig(signal=replace(base, shots=shots)))
         assert np.max(np.abs(exact.samples - noisy.samples)) < 3.0 * np.sqrt(2.0 / shots) + 1e-9
+
+    def test_noiseless_signal_ignores_seed(self):
+        # shot readout is the only noise, so without shots the seed draws nothing
+        base = SignalConfig(t_max=0.5, n=8, seed=0)
+        first = simulate_signal(ExperimentConfig(signal=base))
+        second = simulate_signal(ExperimentConfig(signal=replace(base, seed=7)))
+        assert first.samples.tobytes() == second.samples.tobytes()
 
     def test_general_assembly_signal(self):
         cfg = ExperimentConfig(signal=SignalConfig(t_max=0.4, n=6, use_sym=False))
@@ -490,6 +516,10 @@ class TestConfigParsing:
     def test_unknown_section_rejected(self, data):
         with pytest.raises(ValueError, match="unknown config section"):
             ExperimentConfig.from_dict(data)
+
+    def test_gaussian_noise_is_unknown_key(self):
+        with pytest.raises(TypeError, match="'sigma'"):
+            ExperimentConfig.from_dict({"signal": {"sigma": 0.0}})
 
     @pytest.mark.parametrize("data", [[], "anm", {"method": []}, {"method": "anm"}])
     def test_non_object_rejected(self, data):

@@ -222,6 +222,10 @@ class TestValidation:
         with pytest.raises(ValueError, match="need at least two samples"):
             SamplingGrid(0.0, 1, 1.0)
 
+    def test_two_sample_grid_accepted(self):
+        grid = SamplingGrid(0.5, 2, 0.25)
+        np.testing.assert_array_equal(grid.times(), [0.5, 0.75])
+
     def test_sample_count_must_match_grid(self):
         with pytest.raises(ValueError):
             TimeSignal(SamplingGrid(0.0, 5, 1.0), np.zeros(4), PHYSICAL)
