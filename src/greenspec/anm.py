@@ -15,11 +15,12 @@ which in SDP form adds the quadratic to the objective and frees x.  Both
 programs are solved by a first-order splitting (ADMM): an auxiliary PSD
 matrix variable is kept equal to the structured block matrix by dual ascent,
 and each plain step performs one closed-form update of (x, u, t), one
-projection onto the PSD cone (Hermitian eigendecomposition with negative
-eigenvalues clipped), and one multiplier step.  The plain step is a
-fixed-point map w -> g(w) on w = (Z, Lambda/rho), and type-II Anderson
-acceleration (Walker & Ni, SIAM J. Numer. Anal. 2011) extrapolates it from
-the last five residual differences, as SCS 3.0 does for its ADMM.  The stop
+projection onto the PSD cone (rebuilt from the positive eigenpairs alone,
+which LAPACK's MRRR driver computes without the rest of the spectrum), and
+one multiplier step.  The plain step is a fixed-point map w -> g(w) on
+w = (Z, Lambda/rho), and type-II Anderson acceleration (Walker & Ni, SIAM J.
+Numer. Anal. 2011) extrapolates it from the last five residual differences,
+as SCS 3.0 does for its ADMM.  The stop
 tests always run on the plain step; the memory restarts whenever rho changes
 or the residual grows past twice its best since the last restart.
 
@@ -40,7 +41,7 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg.lapack import dposv
+from scipy.linalg.lapack import dposv, zheevr
 
 from .spectrum import TimeSignal, _wrap_distance
 
@@ -57,8 +58,13 @@ class AnmConfig:
     ``tol`` bounds both residuals, in units of ||y||, and defaults to 1e-10.
     The pipeline's tau selection compares misfits within 10%, so a looser
     solve can pick a different tau depending on where inside the tolerance
-    it stopped; from 1e-10 on, the chosen tau and the reported error no
-    longer depend on the solver.  ``max_iters`` caps one solve's iterations.
+    it stopped.  Even at 1e-10 the result can follow round-off: two
+    converged solves that differ only in the PSD projection's eigensolver
+    gave T(u) spectra up to 4e-7 apart (relative), and where T(u) holds six
+    or seven atoms, the weakest at 1e-5 to 5e-4 of the largest (noiseless
+    windows of n = 26-37 in criterion 04), the reported error moved by up to
+    38%, and the chosen tau in one window.  ``max_iters`` caps one solve's
+    iterations.
     """
 
     tau: float | str = "auto"
@@ -164,9 +170,22 @@ def _assemble(u: np.ndarray, x: np.ndarray, t: float, q: np.ndarray) -> np.ndarr
 
 
 def _psd_project(s: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Project onto the PSD cone into ``out``; symmetrizes ``s`` in place first."""
+    """Project onto the PSD cone into ``out``; symmetrizes ``s`` in place first.
+
+    Only the eigenpairs above zero are computed, by LAPACK's MRRR driver
+    ``zheevr``; the blocks the solver projects keep a few of them.  A driver
+    failure, or a block that is not finite, takes the full decomposition
+    instead, which carries NaN through or raises LinAlgError: on such a block
+    ``zheevr`` reports success, often with no eigenvalue and so a zero
+    projection.
+    """
     s += s.conj().T
     s *= 0.5
+    if np.isfinite(s).all():
+        w, v, m, _, info = zheevr(s, range="V", vl=0.0, vu=np.inf)
+        if info == 0:
+            v = v[:, :m]
+            return np.matmul(v * w[:m], v.conj().T, out=out)
     w, v = np.linalg.eigh(s)
     return np.matmul(v * np.maximum(w, 0.0), v.conj().T, out=out)
 
@@ -411,8 +430,9 @@ def locate_peaks(solution: DenoisedSolution) -> list[float]:
     The rank r of T(u) is the number of atoms.  A null vector h of the
     leading (r+1) x (r+1) block is orthogonal to every atom, so the
     polynomial sum_j h_j z^j vanishes at z = exp(-2 pi i f_k).  When T(u)
-    has full rank (a solve stopped short of the optimum), the eigenvector of
-    its smallest eigenvalue stands in for h.  Returns the distinct
+    has full rank (a solve stopped short of the optimum, or the optimum for
+    pure noise at a weak tau), the eigenvector of its smallest eigenvalue
+    stands in for h.  Returns the distinct
     frequencies in [0, 1), sorted; an empty list is a valid outcome
     (over-regularized or pure noise).
     """

@@ -120,7 +120,13 @@ def cmd_simulate(args) -> int:
 def cmd_reconstruct(args) -> int:
     config = _load_config(args.config)
     try:
-        signal = signal_from_json(load_json(args.signal))
+        data = load_json(args.signal)
+        if len(data["samples"]) != int(data["n"]):
+            raise _IoError(
+                f"cannot read signal {args.signal}: n is {data['n']}, "
+                f"but it holds {len(data['samples'])} samples"
+            )
+        signal = signal_from_json(data)
     except (OSError, json.JSONDecodeError, KeyError) as exc:
         raise _IoError(f"cannot read signal {args.signal}: {exc}") from exc
     with _bad_config(args.config):  # the model's energy range must fit the file's sampling

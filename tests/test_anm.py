@@ -3,10 +3,12 @@ import pytest
 from _oracles import lasso_objective_oracle
 from scipy.linalg import toeplitz
 
+from greenspec import anm
 from greenspec.anm import (
     AnmConfig,
     _assemble,
     _diag_sums,
+    _psd_project,
     _toeplitz,
     atomic_denoise,
     atomic_norm,
@@ -95,6 +97,68 @@ class TestBlockHelpers:
         m = rng.integers(-50, 50, (24, 24)) + 1j * rng.integers(-50, 50, (24, 24))
         sums = _diag_sums(m.astype(complex), 24)
         assert np.array_equal(sums, [np.trace(m, offset=-k) for k in range(24)])
+
+
+def eigh_clip(s):
+    """Reference PSD projection: the full Hermitian eigendecomposition, clipped at zero."""
+    w, v = np.linalg.eigh(0.5 * (s + s.conj().T))
+    return (v * np.maximum(w, 0.0)) @ v.conj().T
+
+
+def with_spectrum(rng, eigenvalues):
+    """A Hermitian matrix with the given eigenvalues and random eigenvectors."""
+    v, _ = np.linalg.qr(random_complex(rng, len(eigenvalues), len(eigenvalues)))
+    return (v * np.asarray(eigenvalues)) @ v.conj().T
+
+
+def project(s):
+    return _psd_project(s.copy(), np.full(s.shape, np.nan, dtype=complex))
+
+
+def relative_error(a, b):
+    return np.linalg.norm(a - b) / np.linalg.norm(b)
+
+
+class TestPsdProject:
+    @pytest.mark.parametrize("n", (3, 9, 25, 47))
+    def test_matches_full_eigh_clip(self, n):
+        rng = np.random.default_rng(200 + n)
+        s = random_complex(rng, n, n)  # not Hermitian: the projection symmetrizes it
+        assert relative_error(project(s), eigh_clip(s)) < 1e-12
+
+    def test_no_positive_eigenvalue_gives_zero(self):
+        s = with_spectrum(np.random.default_rng(1), -np.linspace(0.1, 3.0, 25))
+        assert np.array_equal(project(s), np.zeros_like(s))
+
+    def test_two_positive_eigenvalues(self):
+        s = with_spectrum(np.random.default_rng(2), [2.0, 0.5] + [-1.0] * 45)
+        p = project(s)
+        assert relative_error(p, eigh_clip(s)) < 1e-12
+        assert np.count_nonzero(np.linalg.eigvalsh(p) > 1e-12) == 2
+
+    def test_all_positive_is_identity(self):
+        s = with_spectrum(np.random.default_rng(3), np.linspace(0.1, 3.0, 25))
+        assert relative_error(project(s), s) < 1e-12
+
+    def test_driver_failure_takes_full_decomposition(self, monkeypatch):
+        def failed(a, **kwargs):
+            n = len(a)
+            return np.zeros(n), np.zeros((n, n), dtype=complex), 0, np.zeros(2 * n), 1
+
+        monkeypatch.setattr(anm, "zheevr", failed)
+        s = with_spectrum(np.random.default_rng(4), [2.0, 0.5] + [-1.0] * 7)
+        assert relative_error(project(s), eigh_clip(s)) < 1e-12
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("entry, value", [((1, 2), np.nan), ((0, 0), np.inf)])
+    def test_non_finite_block_is_not_projected_to_zero(self, entry, value):
+        s = with_spectrum(np.random.default_rng(5), [-1.0] * 9)
+        s[entry] = value
+        try:
+            p = project(s)
+        except np.linalg.LinAlgError:
+            return
+        assert not np.isfinite(p).all()
 
 
 class TestAtomicNorm:

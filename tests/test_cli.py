@@ -235,6 +235,21 @@ class TestReconstructCommand:
         assert "need at least two samples" in capsys.readouterr().err
         assert not (out_dir / "report_dft.json").exists()
 
+    def test_truncated_signal_is_io_error(self, tmp_path, capsys):
+        # a file whose samples disagree with its own n is unreadable, not a numeric failure
+        cfg = write_config(tmp_path / "cfg.json")
+        out_dir = tmp_path / "out"
+        assert main(["simulate", "--config", cfg, "--out", str(out_dir), "--quiet"]) == 0
+        sig = load_json(out_dir / "signal.json")
+        sig["samples"] = sig["samples"][:-1]
+        (out_dir / "signal.json").write_text(json.dumps(sig))
+        capsys.readouterr()
+        code = main(["reconstruct", str(out_dir / "signal.json"), "--config", cfg,
+                     "--out", str(out_dir), "--method", "dft", "--quiet"])
+        assert code == 2
+        assert "n is 24, but it holds 23 samples" in capsys.readouterr().err
+        assert not (out_dir / "report_dft.json").exists()
+
     def test_solver_diagnostics_in_report(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json")
         out_dir = tmp_path / "out"
