@@ -16,11 +16,11 @@ programs are solved by a first-order splitting (ADMM): an auxiliary PSD
 matrix variable is kept equal to the structured block matrix by dual ascent,
 and each plain step performs one closed-form update of (x, u, t), one
 projection onto the PSD cone (rebuilt from the positive eigenpairs alone,
-which LAPACK's MRRR driver computes without the rest of the spectrum), and
-one multiplier step.  The plain step is a fixed-point map w -> g(w) on
-w = (Z, Lambda/rho), and type-II Anderson acceleration (Walker & Ni, SIAM J.
-Numer. Anal. 2011) extrapolates it from the last five residual differences,
-as SCS 3.0 does for its ADMM.  The stop
+which LAPACK's zheevr finds by bisection and inverse iteration without the
+rest of the spectrum), and one multiplier step.  The plain step is a
+fixed-point map w -> g(w) on w = (Z, Lambda/rho), and type-II Anderson
+acceleration (Walker & Ni, SIAM J. Numer. Anal. 2011) extrapolates it from
+the last twenty residual differences, as SCS 3.0 does for its ADMM.  The stop
 tests always run on the plain step; the memory restarts whenever rho changes
 or the residual grows past twice its best since the last restart.
 
@@ -59,12 +59,13 @@ class AnmConfig:
     The pipeline's tau selection compares misfits within 10%, so a looser
     solve can pick a different tau depending on where inside the tolerance
     it stopped.  Even at 1e-10 the result can follow round-off: two
-    converged solves that differ only in the PSD projection's eigensolver
-    gave T(u) spectra up to 4e-7 apart (relative), and where T(u) holds six
-    or seven atoms, the weakest at 1e-5 to 5e-4 of the largest (noiseless
-    windows of n = 26-37 in criterion 04), the reported error moved by up to
-    38%, and the chosen tau in one window.  ``max_iters`` caps one solve's
-    iterations.
+    converged solves that differ only in the PSD projection's eigensolver,
+    or only in the acceleration's memory, gave T(u) spectra up to 5.5e-7
+    apart (relative), and where T(u) holds six or seven atoms, the weakest
+    at 1e-5 to 5e-4 of the largest (noiseless windows of n = 26-39 in
+    criterion 04), the reported error moved by up to a factor of three with
+    the same tau, and the chosen tau in one window.  ``max_iters`` caps one
+    solve's iterations.
     """
 
     tau: float | str = "auto"
@@ -172,8 +173,12 @@ def _assemble(u: np.ndarray, x: np.ndarray, t: float, q: np.ndarray) -> np.ndarr
 def _psd_project(s: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Project onto the PSD cone into ``out``; symmetrizes ``s`` in place first.
 
-    Only the eigenpairs above zero are computed, by LAPACK's MRRR driver
-    ``zheevr``; the blocks the solver projects keep a few of them.  A driver
+    Only the m eigenpairs above zero are computed, by LAPACK ``zheevr``.  For
+    a value range it finds them by bisection and inverse iteration (its MRRR
+    path runs only for the whole spectrum), so the cost grows with m: on one
+    47 x 47 block about 130, 320, 480 and 900 us at m = 2, 12, 20 and 40,
+    against about 330 us for the whole spectrum.  The solver's blocks keep a
+    median m of 2 at n = 46, and 4 to 12 (median 8) at n = 39.  A driver
     failure, or a block that is not finite, takes the full decomposition
     instead, which carries NaN through or raises LinAlgError: on such a block
     ``zheevr`` reports success, often with no eigenvalue and so a zero
@@ -198,8 +203,12 @@ _CERT_SLACK = 5e-4
 _RHO = 2.0  # initial ADMM penalty; rebalanced every 25 iterations
 
 # type-II Anderson acceleration of the plain ADMM step: the number of past
-# differences kept, and the ridge on their Gram system relative to its trace
-_AA_MEMORY = 5
+# differences kept, and the ridge on their Gram system relative to its trace.
+# The memory was picked by a sweep over 5-30 (BENCH_19.json): 20 needs a
+# seventh of the iterations of 5 on the two_sided_shots cells, and 30 was about
+# 5% faster over all ANM fixtures while its ring buffers (2 m 4(n+1)^2 doubles)
+# hold another 1.4 MB at n = 46
+_AA_MEMORY = 20
 _AA_RIDGE = 1e-10
 _EYE = np.eye(_AA_MEMORY)
 
@@ -230,6 +239,7 @@ def _admm(
     d_f = np.empty((_AA_MEMORY, size))  # ring buffers of successive differences
     d_g = np.empty((_AA_MEMORY, size))
     gram = np.empty((_AA_MEMORY, _AA_MEMORY))
+    rhs = np.zeros(_AA_MEMORY)  # dF f: the stored differences against the current residual
     w_h, _ = _stack(n)  # conjugate transpose of w, for the symmetrization
     big_z, big_u = w
     x = y.copy()
@@ -292,11 +302,15 @@ def _admm(
             np.subtract(g[1], g_prev[1], out=d_g[slot])
             m = min(stored, _AA_MEMORY)
             gram[slot, :m] = gram[:m, slot] = d_f[:m] @ d_f[slot]
+            # f = f_prev + dF_slot, so each older dF_j f is its previous value
+            # plus the new Gram entry; only the new difference needs a product
+            rhs[:m] += gram[:m, slot]
+            rhs[slot] = d_f[slot] @ f_vec
         m = min(stored, _AA_MEMORY)
         ridge = _AA_RIDGE * gram[:m, :m].trace()
         info = 1
         if ridge > 0.0:
-            _, gamma, info = dposv(gram[:m, :m] + ridge * _EYE[:m, :m], d_f[:m] @ f_vec)
+            _, gamma, info = dposv(gram[:m, :m] + ridge * _EYE[:m, :m], rhs[:m])
         if info == 0:
             # the extrapolated point g(w) - dG gamma, Hermitian-symmetrized
             np.matmul(gamma, d_g[:m], out=w_vec)

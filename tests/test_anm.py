@@ -290,6 +290,48 @@ class TestDualityGap:
             atomic_denoise(make_signal(8, [0.3], [1.0]), cfg, warm=prior)
 
 
+class TestAcceleration:
+    def test_failed_gram_solve_takes_plain_step(self, monkeypatch):
+        # with every Gram factorization failing, each iteration is the plain
+        # ADMM step, which must reach the accelerated solve's optimum
+        n = 12
+        rng = np.random.default_rng(900 + n)
+        samples = atoms(n, rng.uniform(0, 1, 3)) @ random_complex(rng, 3)
+        samples = samples + 0.05 * random_complex(rng, n)
+        y = TimeSignal(SamplingGrid(0.0, n, 1.0), samples, CANONICAL)
+        cfg = AnmConfig(tau=0.05 * float(np.linalg.norm(samples)))
+        accelerated = atomic_denoise(y, cfg)
+        calls = []
+
+        def failed(a, b):
+            calls.append(len(b))
+            return a, b, 1
+
+        monkeypatch.setattr(anm, "dposv", failed)
+        plain = atomic_denoise(y, cfg)
+        assert calls
+        assert accelerated.converged and plain.converged
+        assert plain.iterations > accelerated.iterations
+        bound = 100 * cfg.tol * float(np.linalg.norm(samples))
+        np.testing.assert_allclose(plain.x_hat, accelerated.x_hat, rtol=0, atol=bound)
+        assert plain.objective == pytest.approx(accelerated.objective, rel=1e-9)
+
+    def test_cold_solve_iteration_budget(self):
+        # the two_sided_shots cell at t_max = 0.45 (n = 46), shot seed 0, at
+        # the ladder's top rung: a memory of 20 differences converges in 119
+        # iterations, and the budget allows about twice that; a memory of 5
+        # needed 552.  Counted, not timed, so machine load cannot trip it
+        signal_cfg = SignalConfig(
+            evolver="trotter2", trotter_steps=2, t_max=0.45, t0=-0.45, n=46, shots=100000, seed=0
+        )
+        cfg = ExperimentConfig(signal=signal_cfg)
+        signal = simulate_signal(cfg)
+        y = to_canonical(signal, rescale_map_for_grid(cfg, signal.grid))
+        sol = atomic_denoise(y, AnmConfig(tau=0.12 * float(np.linalg.norm(y.samples))))
+        assert sol.converged
+        assert sol.iterations <= 240
+
+
 class TestDualPolynomial:
     def test_huge_tau_zeroes_dual(self):
         y = make_signal(12, [0.3], [1.0])
