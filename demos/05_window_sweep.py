@@ -7,7 +7,7 @@ sampling noise, then reproduces the headline short-window result with the
 exact evolver.  Expect the atomic-norm error to dip well below the
 baseline's at windows far shorter than the theory-guaranteed one.
 
-Takes a minute or two; trim the grid for a quicker look.
+Takes a few seconds.
 """
 
 import numpy as np

@@ -53,24 +53,12 @@ class AnmConfig:
     ``tau`` is the regularization weight: a number, or one of the policies
     "auto", "ladder" and "path", which the pipeline resolves to numbers
     (see :func:`greenspec.pipeline.anm_reconstruct_canonical`);
-    :func:`atomic_denoise` itself needs a number.
-
-    ``tol`` bounds both residuals, in units of ||y||, and defaults to 1e-10.
-    The pipeline's tau selection compares misfits within 10%, so a looser
-    solve can pick a different tau depending on where inside the tolerance
-    it stopped.  Even at 1e-10 the result can follow round-off: two
-    converged solves that differ only in the PSD projection's eigensolver,
-    or only in the acceleration's memory, gave T(u) spectra up to 5.5e-7
-    apart (relative), and where T(u) holds six or seven atoms, the weakest
-    at 1e-5 to 5e-4 of the largest (noiseless windows of n = 26-39 in
-    criterion 04), the reported error moved by up to a factor of three with
-    the same tau, and the chosen tau in one window.  ``max_iters`` caps one
-    solve's iterations.
+    :func:`atomic_denoise` itself needs a number.  ``max_iters`` caps one
+    solve's iterations; every solve stops on the fixed tolerance ``_TOL``.
     """
 
     tau: float | str = "auto"
     max_iters: int = 10000
-    tol: float = 1e-10
 
     def __post_init__(self) -> None:
         if isinstance(self.tau, str):
@@ -80,8 +68,6 @@ class AnmConfig:
             raise ValueError("tau must be a positive finite number")
         if self.max_iters < 1:
             raise ValueError("max_iters must be positive")
-        if not 0.0 < self.tol < math.inf:
-            raise ValueError("tol must be a positive finite number")
 
 
 @dataclass(frozen=True)
@@ -202,6 +188,12 @@ _CERT_SLACK = 5e-4
 
 _RHO = 2.0  # initial ADMM penalty; rebalanced every 25 iterations
 
+# both residuals must fall below this, in units of ||y||.  The tau selection
+# compares misfits within 10%, so a looser solve can pick another tau, and
+# report another error, depending on where inside the tolerance it stopped:
+# the n = 3 criterion-04 window reports 0.1740 at 1e-7 and 0.0920 at 1e-10
+_TOL = 1e-10
+
 # type-II Anderson acceleration of the plain ADMM step: the number of past
 # differences kept, and the ridge on their Gram system relative to its trace.
 # The memory was picked by a sweep over 5-30 (BENCH_19.json): 20 needs a
@@ -280,7 +272,7 @@ def _admm(
         r_primal = math.sqrt(f_u.dot(f_u))
         r_dual = rho * math.sqrt(f_z.dot(f_z))
 
-        if r_primal < config.tol and r_dual < config.tol:
+        if r_primal < _TOL and r_dual < _TOL:
             if fix_x:
                 converged = True
                 break
@@ -433,8 +425,8 @@ def dual_polynomial_grid(solution: DenoisedSolution) -> np.ndarray:
 # eigenvalues of T(u) at or below this share (or the solve's larger residual,
 # which sets its solver noise) of max(lambda_max, sqrt(n) ||y||) count as zero;
 # sqrt(n) ||y|| is lambda_max of an unshrunk one-atom T(u), so a solve shrunk
-# to nothing has rank zero.  At the default tolerance the sweeps of criteria
-# 03-05 leave solver noise at most 2.8e-11 of that scale and no atom below 3.9e-8
+# to nothing has rank zero.  At _TOL the sweeps of criteria 03-05 leave solver
+# noise at most 2.8e-11 of that scale and no atom below 3.9e-8
 _RANK_CUT = 1e-8
 
 

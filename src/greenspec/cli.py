@@ -21,7 +21,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from . import anm, pipeline
+from . import anm, pipeline, qsim
 from .spectrum import (
     TimeSignal,
     dump_json,
@@ -45,7 +45,9 @@ def _load_config(path: str | None) -> pipeline.ExperimentConfig:
     except (OSError, json.JSONDecodeError) as exc:
         raise _IoError(f"cannot read config {path}: {exc}") from exc
     with _bad_config(path):
-        return pipeline.ExperimentConfig.from_dict(data)
+        config = pipeline.ExperimentConfig.from_dict(data)
+        qsim.prepare_ground_state(config.model)  # V = 0 has no ground-state angle
+    return config
 
 
 @contextmanager
@@ -127,7 +129,7 @@ def cmd_reconstruct(args) -> int:
                 f"but it holds {len(data['samples'])} samples"
             )
         signal = signal_from_json(data)
-    except (OSError, json.JSONDecodeError, KeyError) as exc:
+    except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
         raise _IoError(f"cannot read signal {args.signal}: {exc}") from exc
     with _bad_config(args.config):  # the model's energy range must fit the file's sampling
         pipeline.rescale_map_for_grid(config, signal.grid)
@@ -175,12 +177,13 @@ def cmd_sweep(args) -> int:
     methods = ("anm", "dft") if args.method == "both" else (args.method,)
     variants = tuple(args.variant) if args.variant else None
     seeds = args.seeds or [config.signal.seed]
+    with _bad_config(args.config):  # before any cell runs, so a failure writes nothing
+        meta = {"theory_threshold_t_max": pipeline.theory_threshold_t_max(config)}
     cells = pipeline.run_sweep(config, args.t_max, seeds, methods=methods, variants=variants)
     os.makedirs(args.out, exist_ok=True)
     csv_path = os.path.join(args.out, "sweep.csv")
     with open(csv_path, "w") as fh:
         fh.write("\n".join(pipeline.sweep_to_csv_rows(cells)) + "\n")
-    meta = {"theory_threshold_t_max": pipeline.theory_threshold_t_max(config)}
     dump_json(meta, os.path.join(args.out, "sweep_meta.json"))
     failed = sum(1 for c in cells if c.error)
     unconverged = sum(1 for c in cells if c.converged is False)

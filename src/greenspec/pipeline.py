@@ -107,7 +107,10 @@ _ACCEPTS = {float: {int, float}}
 
 
 def _section(cls, section: str, values):
-    """``cls(**values)``, with a ``ValueError`` naming any value of the wrong type."""
+    """``cls(**values)``, with a ``ValueError`` naming any value of the wrong type.
+
+    A float must be finite: Python's json reads NaN and Infinity.
+    """
     if not isinstance(values, dict):
         raise ValueError(f"{section} section must be an object, got {type(values).__name__}")
     hints = typing.get_type_hints(cls)
@@ -118,6 +121,8 @@ def _section(cls, section: str, values):
         if type(value) not in set().union(*(_ACCEPTS.get(a, {a}) for a in annotated)):
             expected = " or ".join("null" if a is type(None) else a.__name__ for a in annotated)
             raise ValueError(f"{section}.{key} must be {expected}, got {value!r}")
+        if type(value) is float and not math.isfinite(value):
+            raise ValueError(f"{section}.{key} must be a finite number, got {value!r}")
     return cls(**values)
 
 
@@ -407,7 +412,9 @@ def _run_cell(
     try:
         sig = replace(config.signal, t_max=t_max, t0=t0, seed=seed)
         if config.signal.n is not None and config.signal.t_max is not None:
-            # keep the configured sampling rate: rescale n with the window
+            # keep the configured sample density: n = floor(span * rate) + 1
+            # samples spread over the whole window, so the spacing is
+            # span / (n - 1), not 1 / rate
             base_span = config.signal.t_max - config.signal.t0
             rate = (config.signal.n - 1) / base_span
             span = t_max - t0

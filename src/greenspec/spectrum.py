@@ -15,6 +15,7 @@ module; everything downstream works with whichever domain tag it is handed.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,6 +85,8 @@ class SamplingGrid:
     def __post_init__(self) -> None:
         if self.n < 2:
             raise ValueError("need at least two samples")
+        if not (math.isfinite(self.t0) and math.isfinite(self.dt)):
+            raise ValueError(f"grid needs a finite t0 and dt, got t0={self.t0}, dt={self.dt}")
         if self.dt <= 0:
             raise ValueError("sample spacing must be positive")
 
@@ -107,6 +110,8 @@ class TimeSignal:
         samples = np.asarray(self.samples, dtype=complex)
         if samples.shape != (self.grid.n,):
             raise ValueError(f"expected {self.grid.n} samples, got shape {samples.shape}")
+        if not np.isfinite(samples).all():
+            raise ValueError("samples must be finite")
         samples = samples.copy()
         samples.flags.writeable = False
         object.__setattr__(self, "samples", samples)

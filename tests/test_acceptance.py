@@ -282,7 +282,7 @@ def test_criterion_08_grid_oracle_equivalence(capsys):
         atoms = np.exp(2j * np.pi * np.outer(np.arange(n), freqs))
         y = TimeSignal(SamplingGrid(0.0, n, 1.0), atoms @ coeffs + noise, CANONICAL)
         tau = select_tau(0.05, n)
-        sol = atomic_denoise(y, AnmConfig(tau=tau, tol=1e-8))
+        sol = atomic_denoise(y, AnmConfig(tau=tau))
         grid_obj = lasso_objective_oracle(y.samples, tau)
         assert sol.objective <= grid_obj * (1 + 1e-4)  # grid upper-bounds
         worst = max(worst, (grid_obj - sol.objective) / grid_obj)
@@ -333,7 +333,7 @@ def test_criterion_10_sample_complexity_property(noiseless_run, capsys):
         sigma = np.sqrt(np.mean(np.abs(x) ** 2) / 100.0)  # 20 dB SNR
         noise = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * sigma / np.sqrt(2)
         y = TimeSignal(SamplingGrid(0.0, n, 1.0), x + noise, CANONICAL)
-        cfg = AnmConfig(tau=select_tau(sigma, n), tol=1e-6, max_iters=5000)
+        cfg = AnmConfig(tau=select_tau(sigma, n), max_iters=5000)
         peaks = locate_peaks(atomic_denoise(y, cfg))
         return all(any(wrap(p, f) < df / 4 for p in peaks) for f in (f1, f2))
 

@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+from greenspec import pipeline
 from greenspec.cli import main
 from greenspec.spectrum import load_json
 
@@ -36,12 +37,12 @@ class TestOracleCommand:
         # oracle writes nothing and draws nothing, so it takes neither option
         assert main(["oracle", *option]) == 1
 
-    def test_config_names_one_solver_tolerance(self, tmp_path):
-        # the residual tolerances are one "tol"; an old name is an unknown key
-        old = write_config(tmp_path / "old.json", method={"anm": {"primal_tol": 1e-8}})
-        new = write_config(tmp_path / "new.json", method={"anm": {"tol": 1e-8}})
-        assert main(["oracle", "--config", old, "--quiet"]) == 1
-        assert main(["oracle", "--config", new, "--quiet"]) == 0
+    def test_config_names_one_solver_tolerance(self, tmp_path, capsys):
+        # the solver's residual tolerance is fixed; naming one is an unknown key
+        for key in ("primal_tol", "tol"):
+            cfg = write_config(tmp_path / f"{key}.json", method={"anm": {key: 1e-8}})
+            assert main(["oracle", "--config", cfg, "--quiet"]) == 1
+            assert "bad config" in capsys.readouterr().err
 
     def test_config_has_no_gaussian_noise(self, tmp_path, capsys):
         # finite-shot readout is the only noise; "sigma" is an unknown key
@@ -139,6 +140,41 @@ class TestSimulateCommand:
         err = capsys.readouterr().err
         assert "bad config" in err and f"{field} must be" in err
         assert not (tmp_path / "signal.json").exists()
+
+    @pytest.mark.parametrize(
+        "command, section, field",
+        [
+            (["simulate"], {"signal": {"t_max": math.inf}}, "signal.t_max"),
+            (["oracle"], {"model": {"u": math.nan, "v": 0.745}}, "model.u"),
+            (["sweep", "--t-max", "0.3"], {"model": {"u": math.nan, "v": 0.745}}, "model.u"),
+        ],
+        ids=["simulate", "oracle", "sweep"],
+    )
+    def test_non_finite_value_is_usage_error(
+        self, tmp_path, monkeypatch, capsys, command, section, field
+    ):
+        # json reads NaN and Infinity; a float field takes neither
+        monkeypatch.chdir(tmp_path)  # the default output directory
+        cfg = write_config(tmp_path / "cfg.json", **section)
+        assert main([*command, "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert "bad config" in err and f"{field} must be a finite number" in err
+        assert os.listdir(tmp_path) == ["cfg.json"]
+
+    @pytest.mark.parametrize(
+        "command",
+        [["simulate"], ["oracle"], ["sweep", "--t-max", "0.5"]],
+        ids=["simulate", "oracle", "sweep"],
+    )
+    def test_zero_hopping_is_usage_error(self, tmp_path, monkeypatch, capsys, command):
+        # V = 0 decouples the sites, leaving the ground-state angle undefined
+        monkeypatch.chdir(tmp_path)  # the default output directory
+        cfg = write_config(
+            tmp_path / "cfg.json", model={"u": 4.0, "v": 0.0}, signal={"t_max": 1.0, "n": 5}
+        )
+        assert main([*command, "--config", cfg]) == 1
+        assert "bad config" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["cfg.json"]
 
     def test_missing_config_is_io_error(self, tmp_path):
         assert main(["simulate", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path)]) == 2
@@ -250,6 +286,36 @@ class TestReconstructCommand:
         assert "n is 24, but it holds 23 samples" in capsys.readouterr().err
         assert not (out_dir / "report_dft.json").exists()
 
+    @pytest.mark.parametrize("field", ["samples", "t0"])
+    def test_non_finite_signal_is_numeric_failure(self, tmp_path, capsys, field):
+        # json reads NaN; a non-finite sample or grid would score as an empty spectrum
+        cfg = write_config(tmp_path / "cfg.json")
+        out_dir = tmp_path / "out"
+        assert main(["simulate", "--config", cfg, "--out", str(out_dir), "--quiet"]) == 0
+        sig = load_json(out_dir / "signal.json")
+        if field == "samples":
+            sig["samples"][0] = [math.nan, 0.0]
+        else:
+            sig["t0"] = math.nan
+        (out_dir / "signal.json").write_text(json.dumps(sig))
+        capsys.readouterr()
+        code = main(["reconstruct", str(out_dir / "signal.json"), "--config", cfg,
+                     "--out", str(out_dir), "--method", "dft", "--quiet"])
+        assert code == 3
+        assert "finite" in capsys.readouterr().err
+        assert not (out_dir / "report_dft.json").exists()
+
+    def test_non_object_signal_is_io_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "cfg.json")
+        sig = tmp_path / "signal.json"
+        sig.write_text(json.dumps([[1.0, 0.0], [0.5, 0.5]]))
+        out_dir = tmp_path / "out"
+        code = main(["reconstruct", str(sig), "--config", cfg,
+                     "--out", str(out_dir), "--method", "dft", "--quiet"])
+        assert code == 2
+        assert "cannot read signal" in capsys.readouterr().err
+        assert not out_dir.exists()
+
     def test_solver_diagnostics_in_report(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json")
         out_dir = tmp_path / "out"
@@ -302,7 +368,7 @@ class TestSweepCommand:
             tmp_path / "cfg.json",
             signal={"evolver": "trotter2", "t_max": 0.4, "n": 10, "shots": 2000, "seed": 0},
             method={
-                "anm": {"tau": "ladder", "tol": 3e-6, "max_iters": 4000},
+                "anm": {"tau": "ladder", "max_iters": 4000},
             },
         )
         out_a = tmp_path / "a"
@@ -317,6 +383,19 @@ class TestSweepCommand:
         assert header == "t_max,method,variant,n,seed,epsilon"
         meta = load_json(out_a / "sweep_meta.json")
         assert meta["theory_threshold_t_max"] == pytest.approx(6.3, abs=0.2)
+
+    def test_threshold_failure_writes_nothing(self, tmp_path, monkeypatch, capsys):
+        # the theory threshold is checked before any cell runs
+        def undefined(config):
+            raise ValueError("threshold undefined for fewer than two poles")
+
+        monkeypatch.setattr(pipeline, "theory_threshold_t_max", undefined)
+        cfg = write_config(tmp_path / "cfg.json")
+        out = tmp_path / "t"
+        args = ["sweep", "--config", cfg, "--t-max", "0.27", "--method", "dft", "--out", str(out)]
+        assert main(args) == 1
+        assert "bad config" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_variant_flag(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json")

@@ -1,8 +1,4 @@
-"""The demo scripts run end to end against the current API.
-
-Demo 05 is left out: it runs a full window sweep (tens of seconds), and the
-acceptance sweeps cover the same path.
-"""
+"""The demo scripts run end to end against the current API."""
 
 import runpy
 from pathlib import Path
@@ -18,6 +14,7 @@ EXPECTED = {
     "02_impurity_signal.py": "conditioned Hamiltonian terms",
     "03_atomic_norm_denoising.py": "recovered lines",
     "04_dft_baseline.py": "sub-window pair",
+    "05_window_sweep.py": "guaranteed-recovery window",
 }
 
 

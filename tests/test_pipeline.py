@@ -1,5 +1,7 @@
+import json
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -41,7 +43,7 @@ from greenspec.spectrum import (
 )
 
 
-FAST_ANM = AnmConfig(tau="ladder", tol=3e-6, max_iters=6000)
+LADDER_ANM = AnmConfig(tau="ladder", max_iters=6000)
 
 
 def with_noise(signal, sigma, seed):
@@ -259,9 +261,8 @@ class TestTauPolicies:
         truth = LineSpectrum((Pole(1.0, 0.2), Pole(0.6, 0.55)), CANONICAL)
         y = with_noise(synthesize_signal(truth, SamplingGrid(0.0, 16, 1.0)), sigma, seed=3)
         tau = max(select_tau(sigma, 16), TAU_FLOOR_REL * float(np.linalg.norm(y.samples)))
-        cfg = AnmConfig(tol=3e-6)
-        _, auto = anm_reconstruct_canonical(y, replace(cfg, tau="auto"), sigma)
-        _, fixed = anm_reconstruct_canonical(y, replace(cfg, tau=tau), sigma)
+        _, auto = anm_reconstruct_canonical(y, AnmConfig(tau="auto"), sigma)
+        _, fixed = anm_reconstruct_canonical(y, AnmConfig(tau=tau), sigma)
         assert auto.tau.hex() == fixed.tau.hex()
         assert auto.x_hat.tobytes() == fixed.x_hat.tobytes()
 
@@ -359,7 +360,7 @@ class TestLadderNoiseStop:
 class TestSweep:
     def test_single_cell_matches_reconstruct(self):
         cfg = ExperimentConfig(
-            signal=SignalConfig(evolver="exact", t_max=0.27, n=12), anm=FAST_ANM
+            signal=SignalConfig(evolver="exact", t_max=0.27, n=12), anm=LADDER_ANM
         )
         cells = run_sweep(cfg, [0.27], [0], methods=("anm",))
         signal = simulate_signal(cfg)
@@ -369,7 +370,7 @@ class TestSweep:
 
     def test_deterministic_rows(self):
         cfg = ExperimentConfig(
-            signal=SignalConfig(evolver="trotter2", t_max=0.4, n=10, shots=2000), anm=FAST_ANM
+            signal=SignalConfig(evolver="trotter2", t_max=0.4, n=10, shots=2000), anm=LADDER_ANM
         )
         a = run_sweep(cfg, [0.3, 0.4], [0, 1], methods=("anm", "dft"))
         b = run_sweep(cfg, [0.3, 0.4], [0, 1], methods=("anm", "dft"))
@@ -409,13 +410,13 @@ class TestSweep:
 
     def test_failures_recorded_not_raised(self):
         # a window too short for two samples cannot be reconstructed
-        cfg = ExperimentConfig(signal=SignalConfig(evolver="exact", t_max=1.0), anm=FAST_ANM)
+        cfg = ExperimentConfig(signal=SignalConfig(evolver="exact", t_max=1.0), anm=LADDER_ANM)
         cells = run_sweep(cfg, [1e-6], [0], methods=("anm",))
         assert len(cells) == 1
         assert cells[0].error == "ValueError: need at least two samples"
 
     def test_one_sample_window_fails_both_methods(self):
-        cfg = ExperimentConfig(signal=SignalConfig(t_max=0.26), anm=FAST_ANM)
+        cfg = ExperimentConfig(signal=SignalConfig(t_max=0.26), anm=LADDER_ANM)
         cells = run_sweep(cfg, [0.26], [0])
         assert [(c.method, c.n, c.error) for c in cells] == [
             (method, -1, "ValueError: need at least two samples") for method in ("anm", "dft")
@@ -526,11 +527,32 @@ class TestConfigParsing:
         with pytest.raises(ValueError, match="must be an object"):
             ExperimentConfig.from_dict(data)
 
+    @pytest.mark.parametrize(
+        "data, field",
+        [
+            ({"signal": {"t_max": math.inf}}, "signal.t_max"),
+            ({"signal": {"t0": -math.inf, "t_max": 1.0}}, "signal.t0"),
+            ({"model": {"u": math.nan, "v": 0.745}}, "model.u"),
+            ({"method": {"anm": {"tau": math.nan}}}, "method.anm.tau"),
+        ],
+    )
+    def test_non_finite_number_rejected(self, data, field):
+        # json reads NaN and Infinity, so the type check alone passes them
+        with pytest.raises(ValueError, match=f"^{field} must be a finite number"):
+            ExperimentConfig.from_dict(data)
+
+    def test_readme_example_is_valid(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        after = readme.split("A config file is JSON", 1)[1]
+        block = after.split("```json\n", 1)[1].split("```", 1)[0]
+        cfg = ExperimentConfig.from_dict(json.loads(block))
+        assert cfg.anm.tau == "path"
+
     def test_int_for_float_and_null_for_none_accepted(self):
         data = {
             "model": {"u": 4, "v": 1},
             "signal": {"t0": -1, "t_max": 1, "n": None, "shots": None},
-            "method": {"anm": {"tau": 1, "tol": 1}},
+            "method": {"anm": {"tau": 1}},
         }
         cfg = ExperimentConfig.from_dict(data)
         assert (cfg.model.u, cfg.signal.t_max, cfg.signal.n, cfg.anm.tau) == (4, 1, None, 1)

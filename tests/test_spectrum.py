@@ -230,6 +230,18 @@ class TestValidation:
         with pytest.raises(ValueError):
             TimeSignal(SamplingGrid(0.0, 5, 1.0), np.zeros(4), PHYSICAL)
 
+    @pytest.mark.parametrize("t0, dt", [(np.nan, 1.0), (0.0, np.nan), (0.0, np.inf)])
+    def test_non_finite_grid_rejected(self, t0, dt):
+        with pytest.raises(ValueError, match="finite t0 and dt"):
+            SamplingGrid(t0, 5, dt)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+    def test_non_finite_sample_rejected(self, bad):
+        samples = np.ones(5, dtype=complex)
+        samples[2] = bad
+        with pytest.raises(ValueError, match="samples must be finite"):
+            TimeSignal(SamplingGrid(0.0, 5, 1.0), samples, PHYSICAL)
+
     def test_z_expect_range(self):
         with pytest.raises(ValueError):
             Pole(1.0, 0.5, z_expect=1.5)
