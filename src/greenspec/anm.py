@@ -26,9 +26,12 @@ or the residual grows past twice its best since the last restart.
 
 Frequencies are read off the primal certificate T(u) by its Vandermonde
 (Caratheodory) decomposition T(u) = sum_k c_k a(f_k) a(f_k)^H (Tang, Bhaskar,
-Shah & Recht, IEEE TIT 2013): the rank of T(u) counts the atoms, and a null
-vector of its leading block is a polynomial whose roots sit at the atoms'
-frequencies.  Amplitudes then come from least squares against the raw
+Shah & Recht, IEEE TIT 2013): the rank r of T(u), capped at n - 1, counts
+the atoms, and its r leading eigenvectors span them.  That signal subspace
+is invariant under a one-sample shift, which rotates each atom by
+exp(2 pi i f_k), so the eigenvalues of the rotation fitted between its first
+and last n - 1 rows give the frequencies (ESPRIT; Roy & Kailath, IEEE TASSP
+1989).  Amplitudes then come from least squares against the raw
 measurements.  The dual polynomial Q(f) = |<a(f), (y - x_hat)/tau>|, bounded
 by one on the support, serves as the optimality certificate.
 """
@@ -433,26 +436,26 @@ _RANK_CUT = 1e-8
 def locate_peaks(solution: DenoisedSolution) -> list[float]:
     """Frequencies of the atoms in the Vandermonde decomposition of T(u).
 
-    The rank r of T(u) is the number of atoms.  A null vector h of the
-    leading (r+1) x (r+1) block is orthogonal to every atom, so the
-    polynomial sum_j h_j z^j vanishes at z = exp(-2 pi i f_k).  When T(u)
-    has full rank (a solve stopped short of the optimum, or the optimum for
-    pure noise at a weak tau), the eigenvector of its smallest eigenvalue
-    stands in for h.  Returns the distinct
-    frequencies in [0, 1), sorted; an empty list is a valid outcome
-    (over-regularized or pure noise).
+    The rank r of T(u) is the number of atoms, capped at n - 1 (a solve
+    stopped short of the optimum, or the optimum for pure noise at a weak
+    tau, leaves T(u) with full rank).  The eigenvectors U of its r largest
+    eigenvalues span the atoms a(f_k), and a shift by one sample multiplies
+    each atom by exp(2 pi i f_k), so the eigenvalues of the least-squares
+    rotation U[:-1]^+ U[1:] sit at the atoms' frequencies (ESPRIT).  Returns
+    the distinct frequencies in [0, 1), sorted; an empty list is a valid
+    outcome (over-regularized or pure noise).
     """
     u = solution.toeplitz_vec
     n = len(u)
-    t_u = _toeplitz(u)
-    w = np.linalg.eigvalsh(t_u)
+    w, v = np.linalg.eigh(_toeplitz(u))
     y_norm = float(np.linalg.norm(solution.x_hat + solution.tau * solution.dual))
     cut = max(_RANK_CUT, solution.primal_residual, solution.dual_residual)
-    r = int(np.count_nonzero(w > cut * max(w[-1], math.sqrt(n) * y_norm)))
+    r = min(n - 1, int(np.count_nonzero(w > cut * max(w[-1], math.sqrt(n) * y_norm))))
     if r == 0:
         return []
-    h = np.linalg.eigh(t_u[: r + 1, : r + 1])[1][:, 0]  # all of T(u) when r = n
-    freqs = (-np.angle(np.roots(h[::-1])) / (2.0 * np.pi)) % 1.0
+    sig = v[:, n - r :]
+    rotation = np.linalg.lstsq(sig[:-1], sig[1:], rcond=None)[0]
+    freqs = (np.angle(np.linalg.eigvals(rotation)) / (2.0 * np.pi)) % 1.0
     freqs[freqs == 1.0] = 0.0  # a tiny negative angle rounds up to 1
     return sorted(set(freqs.tolist()))
 

@@ -109,7 +109,8 @@ _ACCEPTS = {float: {int, float}}
 def _section(cls, section: str, values):
     """``cls(**values)``, with a ``ValueError`` naming any value of the wrong type.
 
-    A float must be finite: Python's json reads NaN and Infinity.
+    A float must be finite: Python's json reads NaN and Infinity, and an
+    integer too large for a float passes its type check.
     """
     if not isinstance(values, dict):
         raise ValueError(f"{section} section must be an object, got {type(values).__name__}")
@@ -121,8 +122,13 @@ def _section(cls, section: str, values):
         if type(value) not in set().union(*(_ACCEPTS.get(a, {a}) for a in annotated)):
             expected = " or ".join("null" if a is type(None) else a.__name__ for a in annotated)
             raise ValueError(f"{section}.{key} must be {expected}, got {value!r}")
-        if type(value) is float and not math.isfinite(value):
-            raise ValueError(f"{section}.{key} must be a finite number, got {value!r}")
+        if float in annotated and type(value) in _ACCEPTS[float]:
+            try:
+                finite = math.isfinite(float(value))
+            except OverflowError:
+                finite = False
+            if not finite:
+                raise ValueError(f"{section}.{key} must be a finite number, got {value!r}")
     return cls(**values)
 
 

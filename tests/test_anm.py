@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from _oracles import lasso_objective_oracle
@@ -18,7 +20,7 @@ from greenspec.anm import (
     select_tau,
 )
 from greenspec.pipeline import ExperimentConfig, SignalConfig, rescale_map_for_grid, simulate_signal
-from greenspec.spectrum import CANONICAL, SamplingGrid, TimeSignal, to_canonical
+from greenspec.spectrum import CANONICAL, SamplingGrid, TimeSignal, _wrap_distance, to_canonical
 
 
 def atoms(n, freqs):
@@ -404,6 +406,25 @@ class TestLocatePeaks:
             assert len(peaks) == len(runs[0])
             np.testing.assert_allclose(peaks, runs[0], rtol=0, atol=1e-5)
 
+    def test_stable_under_toeplitz_perturbation(self):
+        # criterion 04 configuration at t_max = 1.15 (n = 30), a 7-atom T(u):
+        # a change of u at solver round-off must not move the atoms
+        cfg = ExperimentConfig(signal=SignalConfig(evolver="trotter2", t_max=1.15, n=30))
+        signal = simulate_signal(cfg)
+        y = to_canonical(signal, rescale_map_for_grid(cfg, signal.grid))
+        sol = atomic_denoise(y, AnmConfig(tau=0.0121407))
+        assert sol.converged
+        peaks = locate_peaks(sol)
+        assert len(peaks) == 7
+        u = sol.toeplitz_vec
+        rng = np.random.default_rng(0)
+        for _ in range(3):
+            d = random_complex(rng, len(u))
+            d *= 1e-10 * np.linalg.norm(u) / np.linalg.norm(d)
+            moved = locate_peaks(replace(sol, toeplitz_vec=u + d))
+            assert len(moved) == len(peaks)
+            assert max(map(_wrap_distance, moved, peaks)) <= 1e-6
+
     def test_count_independent_of_solver_tolerance(self, monkeypatch):
         # criterion 10 instance (gap 0.1, n = 25, 20 dB SNR, seed 0): the rank
         # cut follows the solve's residual, so solver noise in a loose solve's
@@ -439,7 +460,7 @@ class TestLocatePeaks:
 
     def test_full_rank_toeplitz_of_converged_solve(self):
         # pure noise at a weak tau: the optimal T(u) itself has rank n, and the
-        # smallest eigenvector of all of T(u) gives n - 1 frequencies
+        # rank cap leaves n - 1 leading eigenvectors, so n - 1 frequencies
         n = 4
         rng = np.random.default_rng(7)
         y = TimeSignal(SamplingGrid(0.0, n, 1.0), random_complex(rng, n), CANONICAL)

@@ -147,13 +147,16 @@ class TestSimulateCommand:
             (["simulate"], {"signal": {"t_max": math.inf}}, "signal.t_max"),
             (["oracle"], {"model": {"u": math.nan, "v": 0.745}}, "model.u"),
             (["sweep", "--t-max", "0.3"], {"model": {"u": math.nan, "v": 0.745}}, "model.u"),
+            (["simulate"], {"signal": {"t_max": 10**400}}, "signal.t_max"),
+            (["oracle"], {"model": {"u": 10**400, "v": 0.745}}, "model.u"),
         ],
-        ids=["simulate", "oracle", "sweep"],
+        ids=["simulate", "oracle", "sweep", "simulate-huge-int", "oracle-huge-int"],
     )
     def test_non_finite_value_is_usage_error(
         self, tmp_path, monkeypatch, capsys, command, section, field
     ):
-        # json reads NaN and Infinity; a float field takes neither
+        # json reads NaN, Infinity and integers too large for a float; a float
+        # field takes none of them
         monkeypatch.chdir(tmp_path)  # the default output directory
         cfg = write_config(tmp_path / "cfg.json", **section)
         assert main([*command, "--config", cfg]) == 1
