@@ -17,7 +17,8 @@ matrix variable is kept equal to the structured block matrix by dual ascent,
 and each plain step performs one closed-form update of (x, u, t), one
 projection onto the PSD cone (rebuilt from the positive eigenpairs alone,
 which LAPACK's zheevr finds by bisection and inverse iteration without the
-rest of the spectrum), and one multiplier step.  The plain step is a
+rest of the spectrum), and one multiplier step.  Every step reads each
+Hermitian block from its lower triangle alone.  The plain step is a
 fixed-point map w -> g(w) on w = (Z, Lambda/rho), and type-II Anderson
 acceleration (Walker & Ni, SIAM J. Numer. Anal. 2011) extrapolates it from
 the last twenty residual differences, as SCS 3.0 does for its ADMM.  The stop
@@ -160,7 +161,7 @@ def _assemble(u: np.ndarray, x: np.ndarray, t: float, q: np.ndarray) -> np.ndarr
 
 
 def _psd_project(s: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Project onto the PSD cone into ``out``; symmetrizes ``s`` in place first.
+    """Project the Hermitian block ``s``, read from its lower triangle, into ``out``.
 
     Only the m eigenpairs above zero are computed, by LAPACK ``zheevr``.  For
     a value range it finds them by bisection and inverse iteration (its MRRR
@@ -168,18 +169,16 @@ def _psd_project(s: np.ndarray, out: np.ndarray) -> np.ndarray:
     47 x 47 block about 130, 320, 480 and 900 us at m = 2, 12, 20 and 40,
     against about 330 us for the whole spectrum.  The solver's blocks keep a
     median m of 2 at n = 46, and 4 to 12 (median 8) at n = 39.  A driver
-    failure, or a block that is not finite, takes the full decomposition
-    instead, which carries NaN through or raises LinAlgError: on such a block
-    ``zheevr`` reports success, often with no eigenvalue and so a zero
-    projection.
+    failure takes the full decomposition instead.  A block that is not
+    finite raises LinAlgError: ``zheevr`` would report success on it, often
+    with no eigenvalue and so a zero projection.
     """
-    s += s.conj().T
-    s *= 0.5
-    if np.isfinite(s).all():
-        w, v, m, _, info = zheevr(s, range="V", vl=0.0, vu=np.inf)
-        if info == 0:
-            v = v[:, :m]
-            return np.matmul(v * w[:m], v.conj().T, out=out)
+    if not np.isfinite(s).all():
+        raise np.linalg.LinAlgError("PSD projection of a non-finite block")
+    w, v, m, _, info = zheevr(s, range="V", vl=0.0, vu=np.inf, lower=1)
+    if info == 0:
+        v = v[:, :m]
+        return np.matmul(v * w[:m], v.conj().T, out=out)
     w, v = np.linalg.eigh(s)
     return np.matmul(v * np.maximum(w, 0.0), v.conj().T, out=out)
 
@@ -235,7 +234,6 @@ def _admm(
     d_g = np.empty((_AA_MEMORY, size))
     gram = np.empty((_AA_MEMORY, _AA_MEMORY))
     rhs = np.zeros(_AA_MEMORY)  # dF f: the stored differences against the current residual
-    w_h, _ = _stack(n)  # conjugate transpose of w, for the symmetrization
     big_z, big_u = w
     x = y.copy()
     if warm is not None and warm.z_state is not None:
@@ -259,7 +257,7 @@ def _admm(
     for it in range(1, config.max_iters + 1):
         g_z, g_u = g[0]
         if not fix_x:
-            x = (y + 2.0 * rho * (big_u[:n, n] + big_z[:n, n])) / (1.0 + 2.0 * rho)
+            x = (y + 2.0 * rho * np.conj(big_u[n, :n] + big_z[n, :n])) / (1.0 + 2.0 * rho)
         t = float(np.real(big_z[n, n] + big_u[n, n])) - tau / (2.0 * rho)
         m0 = big_z[:n, :n] + big_u[:n, :n]
         u = _diag_sums(m0, n) / denom
@@ -307,12 +305,9 @@ def _admm(
         if ridge > 0.0:
             _, gamma, info = dposv(gram[:m, :m] + ridge * _EYE[:m, :m], rhs[:m])
         if info == 0:
-            # the extrapolated point g(w) - dG gamma, Hermitian-symmetrized
+            # the extrapolated point g(w) - dG gamma
             np.matmul(gamma, d_g[:m], out=w_vec)
             np.subtract(g[1], w_vec, out=w_vec)
-            np.conjugate(w.transpose(0, 2, 1), out=w_h)
-            w += w_h
-            w *= 0.5
         else:
             w_vec[...] = g[1]
         g, g_prev = g_prev, g

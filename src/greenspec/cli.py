@@ -75,9 +75,12 @@ def _seed(text: str) -> int:
 
 
 def _comma_list(kind):
-    """argparse type: a comma-separated list of ``kind`` values."""
+    """argparse type: a comma-separated list of finite ``kind`` values."""
     def parse(text: str) -> list:
-        return [kind(v) for v in text.split(",")]
+        values = [kind(v) for v in text.split(",")]
+        if not all(map(math.isfinite, values)):
+            raise argparse.ArgumentTypeError(f"every value must be finite, not {text!r}")
+        return values
     parse.__name__ = f"comma-separated {kind.__name__}"  # argparse names the type in errors
     return parse
 

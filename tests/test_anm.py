@@ -95,8 +95,8 @@ class TestBlockHelpers:
 
 
 def eigh_clip(s):
-    """Reference PSD projection: the full Hermitian eigendecomposition, clipped at zero."""
-    w, v = np.linalg.eigh(0.5 * (s + s.conj().T))
+    """Reference PSD projection: the full `eigh` of the lower triangle, clipped at zero."""
+    w, v = np.linalg.eigh(s)
     return (v * np.maximum(w, 0.0)) @ v.conj().T
 
 
@@ -107,7 +107,7 @@ def with_spectrum(rng, eigenvalues):
 
 
 def project(s):
-    return _psd_project(s.copy(), np.full(s.shape, np.nan, dtype=complex))
+    return _psd_project(s, np.full(s.shape, np.nan, dtype=complex))
 
 
 def relative_error(a, b):
@@ -118,8 +118,18 @@ class TestPsdProject:
     @pytest.mark.parametrize("n", (3, 9, 25, 47))
     def test_matches_full_eigh_clip(self, n):
         rng = np.random.default_rng(200 + n)
-        s = random_complex(rng, n, n)  # not Hermitian: the projection symmetrizes it
+        s = random_complex(rng, n, n)  # not Hermitian: the projection reads its lower triangle
         assert relative_error(project(s), eigh_clip(s)) < 1e-12
+
+    def test_reads_only_the_lower_triangle(self):
+        rng = np.random.default_rng(6)
+        s = with_spectrum(rng, [2.0, 0.5] + [-1.0] * 10)
+        scrambled = s.copy()
+        upper = np.triu_indices(12, 1)
+        scrambled[upper] = random_complex(rng, len(upper[0]))
+        kept = scrambled.copy()
+        assert np.array_equal(project(scrambled), project(s))
+        assert np.array_equal(scrambled, kept)  # the argument is not written
 
     def test_no_positive_eigenvalue_gives_zero(self):
         s = with_spectrum(np.random.default_rng(1), -np.linspace(0.1, 3.0, 25))
@@ -144,16 +154,13 @@ class TestPsdProject:
         s = with_spectrum(np.random.default_rng(4), [2.0, 0.5] + [-1.0] * 7)
         assert relative_error(project(s), eigh_clip(s)) < 1e-12
 
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     @pytest.mark.parametrize("entry, value", [((1, 2), np.nan), ((0, 0), np.inf)])
     def test_non_finite_block_is_not_projected_to_zero(self, entry, value):
+        # (1, 2) lies in the unread upper triangle; the block is refused anyway
         s = with_spectrum(np.random.default_rng(5), [-1.0] * 9)
         s[entry] = value
-        try:
-            p = project(s)
-        except np.linalg.LinAlgError:
-            return
-        assert not np.isfinite(p).all()
+        with pytest.raises(np.linalg.LinAlgError):
+            project(s)
 
 
 class TestAtomicNorm:

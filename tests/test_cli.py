@@ -443,7 +443,15 @@ class TestSweepCommand:
         assert rows[1].split(",")[-1] != "nan"
 
     @pytest.mark.parametrize(
-        "flag, value", [("--t-max", "0.3,abc"), ("--seeds", "x"), ("--seeds", "0,-1")]
+        "flag, value",
+        [
+            ("--t-max", "0.3,abc"),
+            ("--t-max", "nan"),
+            ("--t-max", "inf"),
+            ("--t-max", "1e400"),  # overflows to inf
+            ("--seeds", "x"),
+            ("--seeds", "0,-1"),
+        ],
     )
     def test_malformed_list_is_usage_error(self, tmp_path, capsys, flag, value):
         args = ["sweep", "--t-max", "0.3", "--method", "dft", "--out", str(tmp_path), flag, value]
