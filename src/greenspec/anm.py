@@ -21,9 +21,11 @@ rest of the spectrum), and one multiplier step.  Every step reads each
 Hermitian block from its lower triangle alone.  The plain step is a
 fixed-point map w -> g(w) on w = (Z, Lambda/rho), and type-II Anderson
 acceleration (Walker & Ni, SIAM J. Numer. Anal. 2011) extrapolates it from
-the last twenty residual differences, as SCS 3.0 does for its ADMM.  The stop
-tests always run on the plain step; the memory restarts whenever rho changes
-or the residual grows past twice its best since the last restart.
+the last twenty residual differences, as SCS 3.0 does for its ADMM.  It
+works on the 2 (n+1)^2 reals of the two lower triangles, weighted so that its
+inner products are the Frobenius ones of the full blocks.  The stop tests
+always run on the plain step; the memory restarts whenever rho changes or the
+residual grows past twice its best since the last restart.
 
 Frequencies are read off the primal certificate T(u) by its Vandermonde
 (Caratheodory) decomposition T(u) = sum_k c_k a(f_k) a(f_k)^H (Tang, Bhaskar,
@@ -96,7 +98,8 @@ class DenoisedSolution:
     objective: float
     atomic_norm_value: float
     # solver state for warm restarts on the same data along a regularization
-    # path: Z, Lambda and rho of the final iterate, in the solver's units of ||y||
+    # path: Z, Lambda and rho of the final iterate, in the solver's units of
+    # ||y||; only the lower triangles of Z and Lambda are read
     z_state: np.ndarray | None = None
     lambda_state: np.ndarray | None = None
     rho_state: float | None = None
@@ -129,6 +132,25 @@ def _offset_index(n: int) -> tuple[np.ndarray, np.ndarray]:
         np.stack((offsets, offsets + 1), axis=1).reshape(-1),
         np.stack((flat, flat + 1), axis=1).reshape(-1),
     )
+
+
+@lru_cache(maxsize=32)
+def _packed_index(n: int) -> tuple[np.ndarray, np.ndarray]:
+    # the 2 (n+1)^2 reals of a complex (2, n+1, n+1) stack of Hermitian blocks,
+    # addressed in its flattened float64 view: each block's lower triangle row
+    # by row, real and imaginary parts, less the imaginary part of the
+    # diagonal; and their weights, 2 below the diagonal, under which a packed
+    # dot product is the Frobenius one of the full blocks
+    i, j = np.tril_indices(n + 1)
+    below = i > j
+    re = 2 * (i * (n + 1) + j)
+    keep = np.stack((np.ones_like(below), below), axis=1).reshape(-1)
+    index = np.stack((re, re + 1), axis=1).reshape(-1)[keep]
+    weight = np.repeat(np.where(below, 2.0, 1.0), 2)[keep]
+    index = np.concatenate((index, index + 2 * (n + 1) ** 2))
+    weight = np.tile(weight, 2)
+    index.flags.writeable = weight.flags.writeable = False
+    return index, weight
 
 
 @lru_cache(maxsize=32)
@@ -199,9 +221,10 @@ _TOL = 1e-10
 # type-II Anderson acceleration of the plain ADMM step: the number of past
 # differences kept, and the ridge on their Gram system relative to its trace.
 # The memory was picked by a sweep over 5-30 (BENCH_19.json): 20 needs a
-# seventh of the iterations of 5 on the two_sided_shots cells, and 30 was about
-# 5% faster over all ANM fixtures while its ring buffers (2 m 4(n+1)^2 doubles)
-# hold another 1.4 MB at n = 46
+# seventh of the iterations of 5 on the two_sided_shots cells.  The ring
+# buffers hold 2 m 2(n+1)^2 doubles, 1.41 MB at n = 46; with them a memory of
+# 30 ran window_curve about 18% faster and two_sided_shots about 12% slower
+# (BENCH_23.json)
 _AA_MEMORY = 20
 _AA_RIDGE = 1e-10
 _EYE = np.eye(_AA_MEMORY)
@@ -223,18 +246,25 @@ def _admm(
     n = len(y)
     denom = n - np.arange(n)
     q = np.empty((n + 1, n + 1), dtype=complex)  # the structured block, refilled each iteration
-    # the iterate w = (Z, Lambda/rho), the plain step's image g(w) and the
-    # residual f = g(w) - w, each a complex (2, n+1, n+1) stack paired with its
-    # real view, the vector the acceleration works on; g and f swap buffers
-    # with their previous values every iteration
-    w, w_vec = _stack(n)
-    g, g_prev, f, f_prev = (_stack(n) for _ in range(4))
-    size = len(w_vec)
+    # the iterate w = (Z, Lambda/rho) and the plain step's image g(w), each a
+    # complex (2, n+1, n+1) stack paired with its flat float64 view.  The step
+    # reads only their lower triangles, and the acceleration works on those
+    # alone, packed by _packed_index into vectors of 2 (n+1)^2 reals: w, g(w),
+    # the residual f = g(w) - w, and the previous g and f, which swap buffers
+    # with the current ones every iteration.  The rest of w keeps its start
+    # values: no step uses them, but they must stay finite, because
+    # _psd_project checks the whole block
+    w, w_flat = _stack(n)
+    g, g_flat = _stack(n)
+    index, weight = _packed_index(n)
+    size = len(index)
+    w_vec, g_vec, g_prev, f_vec, f_prev, scratch = np.empty((6, size))
     d_f = np.empty((_AA_MEMORY, size))  # ring buffers of successive differences
     d_g = np.empty((_AA_MEMORY, size))
     gram = np.empty((_AA_MEMORY, _AA_MEMORY))
     rhs = np.zeros(_AA_MEMORY)  # dF f: the stored differences against the current residual
     big_z, big_u = w
+    g_z, g_u = g
     x = y.copy()
     if warm is not None and warm.z_state is not None:
         if warm.z_state.shape != (n + 1, n + 1):
@@ -249,13 +279,13 @@ def _admm(
         _psd_project(_assemble(u, x, float(np.linalg.norm(y)), q), out=big_z)
         big_u[...] = 0.0
         rho = _RHO
+    w_vec[:] = w_flat[index]
 
     half = size // 2
     stored = -1  # differences stored since the memory restarted; -1 forces a restart
     f_min = math.inf
     converged = False
     for it in range(1, config.max_iters + 1):
-        g_z, g_u = g[0]
         if not fix_x:
             x = (y + 2.0 * rho * np.conj(big_u[n, :n] + big_z[n, :n])) / (1.0 + 2.0 * rho)
         t = float(np.real(big_z[n, n] + big_u[n, n])) - tau / (2.0 * rho)
@@ -267,11 +297,11 @@ def _admm(
         _psd_project(q - big_u, out=g_z)
         np.subtract(g_z, q, out=g_u)
         g_u += big_u
-        f_vec = f[1]
-        np.subtract(g[1], w_vec, out=f_vec)
-        f_z, f_u = f_vec[:half], f_vec[half:]
-        r_primal = math.sqrt(f_u.dot(f_u))
-        r_dual = rho * math.sqrt(f_z.dot(f_z))
+        g_vec[:] = g_flat[index]
+        np.subtract(g_vec, w_vec, out=f_vec)
+        np.multiply(f_vec, weight, out=scratch)
+        r_primal = math.sqrt(f_vec[half:] @ scratch[half:])
+        r_dual = rho * math.sqrt(f_vec[:half] @ scratch[:half])
 
         if r_primal < _TOL and r_dual < _TOL:
             if fix_x:
@@ -291,14 +321,15 @@ def _admm(
             f_min = min(f_min, f_norm)
             slot = stored % _AA_MEMORY
             stored += 1
-            np.subtract(f_vec, f_prev[1], out=d_f[slot])
-            np.subtract(g[1], g_prev[1], out=d_g[slot])
+            np.subtract(f_vec, f_prev, out=d_f[slot])
+            np.subtract(g_vec, g_prev, out=d_g[slot])
+            np.multiply(d_f[slot], weight, out=scratch)
             m = min(stored, _AA_MEMORY)
-            gram[slot, :m] = gram[:m, slot] = d_f[:m] @ d_f[slot]
+            gram[slot, :m] = gram[:m, slot] = d_f[:m] @ scratch
             # f = f_prev + dF_slot, so each older dF_j f is its previous value
             # plus the new Gram entry; only the new difference needs a product
             rhs[:m] += gram[:m, slot]
-            rhs[slot] = d_f[slot] @ f_vec
+            rhs[slot] = scratch @ f_vec
         m = min(stored, _AA_MEMORY)
         ridge = _AA_RIDGE * gram[:m, :m].trace()
         info = 1
@@ -307,11 +338,12 @@ def _admm(
         if info == 0:
             # the extrapolated point g(w) - dG gamma
             np.matmul(gamma, d_g[:m], out=w_vec)
-            np.subtract(g[1], w_vec, out=w_vec)
+            np.subtract(g_vec, w_vec, out=w_vec)
         else:
-            w_vec[...] = g[1]
-        g, g_prev = g_prev, g
-        f, f_prev = f_prev, f
+            w_vec[...] = g_vec
+        w_flat[index] = w_vec
+        g_vec, g_prev = g_prev, g_vec
+        f_vec, f_prev = f_prev, f_vec
 
         if it % 25 == 0:
             new_rho = rho
@@ -322,6 +354,7 @@ def _admm(
             if new_rho != rho:
                 # Lambda carries over; its scaled copy changes and the memory is stale
                 big_u *= rho / new_rho
+                w_vec[half:] *= rho / new_rho
                 rho = new_rho
                 stored = -1
 

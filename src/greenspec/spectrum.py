@@ -305,9 +305,26 @@ def signal_to_json(signal: TimeSignal) -> dict:
 
 
 def signal_from_json(data: dict) -> TimeSignal:
-    grid = SamplingGrid(t0=float(data["t0"]), n=int(data["n"]), dt=float(data["dt"]))
-    samples = np.array([complex(re, im) for re, im in data["samples"]])
-    return TimeSignal(grid, samples, PHYSICAL)
+    """The signal of a :func:`signal_to_json` record.
+
+    A record of the wrong shape raises TypeError: ``t0`` or ``dt`` that is not
+    a number, ``n`` that is not an integer or not the number of samples, or a
+    sample that is not an ``[re, im]`` pair.  The grid and the signal check
+    the values and raise ValueError, for instance on fewer than two samples.
+    """
+    for key in ("t0", "dt"):
+        if isinstance(data[key], bool) or not isinstance(data[key], (int, float)):
+            raise TypeError(f"{key} must be a number, got {data[key]!r}")
+    n, samples = data["n"], data["samples"]
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise TypeError(f"n must be an integer, got {n!r}")
+    if len(samples) != n:
+        raise TypeError(f"n is {n}, but it holds {len(samples)} samples")
+    for sample in samples:
+        if not (isinstance(sample, list) and len(sample) == 2):
+            raise TypeError(f"a sample must be an [re, im] pair, got {sample!r}")
+    grid = SamplingGrid(t0=float(data["t0"]), n=n, dt=float(data["dt"]))
+    return TimeSignal(grid, np.array([complex(re, im) for re, im in samples]), PHYSICAL)
 
 
 def dump_json(obj, path) -> None:

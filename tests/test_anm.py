@@ -292,7 +292,64 @@ class TestDualityGap:
             atomic_denoise(make_signal(8, [0.3], [1.0]), cfg, warm=prior)
 
 
+def hermitian_stack(rng, size):
+    a = random_complex(rng, 2, size, size)
+    return a + a.conj().transpose(0, 2, 1)
+
+
+def pack(stack):
+    index, _ = anm._packed_index(stack.shape[-1] - 1)
+    return stack.reshape(-1).view(np.float64)[index]
+
+
 class TestAcceleration:
+    @pytest.mark.parametrize("size", (2, 3, 9, 48))
+    def test_packed_products_are_frobenius(self, size):
+        rng = np.random.default_rng(300 + size)
+        a, b = hermitian_stack(rng, size), hermitian_stack(rng, size)
+        _, weight = anm._packed_index(size - 1)
+        assert len(weight) == 2 * size**2
+        # Re tr(A^H B) summed over the two blocks
+        expected = np.vdot(a, b).real
+        assert pack(a) @ (weight * pack(b)) == pytest.approx(expected, rel=1e-13)
+        assert pack(a) @ (weight * pack(a)) == pytest.approx(np.linalg.norm(a) ** 2, rel=1e-13)
+
+    @pytest.mark.parametrize("size", (2, 3, 9, 48))
+    def test_pack_then_unpack_keeps_lower_triangle(self, size):
+        rng = np.random.default_rng(400 + size)
+        a = random_complex(rng, 2, size, size)  # not Hermitian: only the lower triangle is packed
+        index, _ = anm._packed_index(size - 1)
+        assert len(np.unique(index)) == len(index)
+        back = np.zeros_like(a)
+        back.reshape(-1).view(np.float64)[index] = pack(a)
+        below = np.tril_indices(size, -1)
+        for k in range(2):
+            assert np.array_equal(back[k][below], a[k][below])
+            assert np.array_equal(np.diagonal(back[k]), np.diagonal(a[k]).real)
+            assert not np.triu(back[k], 1).any()
+
+    def test_warm_start_reads_only_lower_triangles(self):
+        # the solver's state is Hermitian and read from its lower triangles, so
+        # scrambling the strict upper triangles of a warm start changes nothing
+        n = 12
+        rng = np.random.default_rng(500)
+        samples = atoms(n, rng.uniform(0, 1, 3)) @ random_complex(rng, 3)
+        samples = samples + 0.05 * random_complex(rng, n)
+        y = TimeSignal(SamplingGrid(0.0, n, 1.0), samples, CANONICAL)
+        tau = 0.05 * float(np.linalg.norm(samples))
+        prior = atomic_denoise(y, AnmConfig(tau=2.0 * tau))
+        upper = np.triu_indices(n + 1, 1)
+        z, lam = prior.z_state.copy(), prior.lambda_state.copy()
+        z[upper] = random_complex(rng, len(upper[0]))
+        lam[upper] = random_complex(rng, len(upper[0]))
+        scrambled = replace(prior, z_state=z, lambda_state=lam)
+        sol = atomic_denoise(y, AnmConfig(tau=tau), warm=prior)
+        other = atomic_denoise(y, AnmConfig(tau=tau), warm=scrambled)
+        assert sol.converged
+        assert np.array_equal(other.x_hat, sol.x_hat)
+        assert other.iterations == sol.iterations
+        assert other.converged == sol.converged
+
     def test_failed_gram_solve_takes_plain_step(self, monkeypatch):
         # with every Gram factorization failing, each iteration is the plain
         # ADMM step, which must reach the accelerated solve's optimum

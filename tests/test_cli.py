@@ -289,6 +289,34 @@ class TestReconstructCommand:
         assert "n is 24, but it holds 23 samples" in capsys.readouterr().err
         assert not (out_dir / "report_dft.json").exists()
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("n", "abc"),
+            ("n", 24.7),  # int() would truncate it to the 24 samples the file holds
+            ("t0", "abc"),
+            ("sample", [1.0, 2.0, 3.0]),
+            ("sample", "x"),
+        ],
+    )
+    def test_malformed_signal_is_io_error(self, tmp_path, capsys, field, value):
+        # a field of the wrong shape makes the file unreadable, not a numeric failure
+        cfg = write_config(tmp_path / "cfg.json")
+        out_dir = tmp_path / "out"
+        assert main(["simulate", "--config", cfg, "--out", str(out_dir), "--quiet"]) == 0
+        sig = load_json(out_dir / "signal.json")
+        if field == "sample":
+            sig["samples"][0] = value
+        else:
+            sig[field] = value
+        (out_dir / "signal.json").write_text(json.dumps(sig))
+        capsys.readouterr()
+        code = main(["reconstruct", str(out_dir / "signal.json"), "--config", cfg,
+                     "--out", str(out_dir), "--method", "dft", "--quiet"])
+        assert code == 2
+        assert "cannot read signal" in capsys.readouterr().err
+        assert not (out_dir / "report_dft.json").exists()
+
     @pytest.mark.parametrize("field", ["samples", "t0"])
     def test_non_finite_signal_is_numeric_failure(self, tmp_path, capsys, field):
         # json reads NaN; a non-finite sample or grid would score as an empty spectrum
