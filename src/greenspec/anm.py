@@ -17,13 +17,14 @@ matrix variable is kept equal to the structured block matrix by dual ascent,
 and each plain step performs one closed-form update of (x, u, t), one
 projection onto the PSD cone (rebuilt from the positive eigenpairs alone,
 which LAPACK's zheevr finds by bisection and inverse iteration without the
-rest of the spectrum), and one multiplier step.  Every step reads each
-Hermitian block from its lower triangle alone.  The plain step is a
-fixed-point map w -> g(w) on w = (Z, Lambda/rho), and type-II Anderson
-acceleration (Walker & Ni, SIAM J. Numer. Anal. 2011) extrapolates it from
-the last twenty residual differences, as SCS 3.0 does for its ADMM.  It
-works on the 2 (n+1)^2 reals of the two lower triangles, weighted so that its
-inner products are the Frobenius ones of the full blocks.  The stop tests
+rest of the spectrum), and one multiplier step.  The solver's state is
+w = (Z | Lambda/rho), the two Hermitian blocks packed into 2 (n+1)^2 reals
+by their lower triangles; the update reads (x, u, t) straight off the packed
+sum, and only the projection unpacks one block.  The plain step is a
+fixed-point map w -> g(w), and type-II Anderson acceleration (Walker & Ni,
+SIAM J. Numer. Anal. 2011) extrapolates it from the last twenty residual
+differences, as SCS 3.0 does for its ADMM, with inner products weighted so
+that they are the Frobenius ones of the full blocks.  The stop tests
 always run on the plain step; the memory restarts whenever rho changes or the
 residual grows past twice its best since the last restart.
 
@@ -99,7 +100,7 @@ class DenoisedSolution:
     atomic_norm_value: float
     # solver state for warm restarts on the same data along a regularization
     # path: Z, Lambda and rho of the final iterate, in the solver's units of
-    # ||y||; only the lower triangles of Z and Lambda are read
+    # ||y||; Z and Lambda as the (n+1)^2 reals of their packed lower triangles
     z_state: np.ndarray | None = None
     lambda_state: np.ndarray | None = None
     rho_state: float | None = None
@@ -121,36 +122,28 @@ def select_tau(sigma: float, n: int) -> float:
 
 
 @lru_cache(maxsize=32)
-def _offset_index(n: int) -> tuple[np.ndarray, np.ndarray]:
-    # lower-triangle entries grouped by diagonal offset i - j, addressed in the
-    # float64 view of a flattened complex block: real part at 2k, imaginary
-    # part at 2k + 1, binned to 2 * offset and 2 * offset + 1
-    i, j = np.tril_indices(n)
-    flat = 2 * (i * n + j)
-    offsets = 2 * (i - j)
-    return (
-        np.stack((offsets, offsets + 1), axis=1).reshape(-1),
-        np.stack((flat, flat + 1), axis=1).reshape(-1),
-    )
-
-
-@lru_cache(maxsize=32)
-def _packed_index(n: int) -> tuple[np.ndarray, np.ndarray]:
-    # the 2 (n+1)^2 reals of a complex (2, n+1, n+1) stack of Hermitian blocks,
-    # addressed in its flattened float64 view: each block's lower triangle row
-    # by row, real and imaginary parts, less the imaginary part of the
-    # diagonal; and their weights, 2 below the diagonal, under which a packed
-    # dot product is the Frobenius one of the full blocks
+def _packed_index(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    # the (n+1)^2 reals of a Hermitian (n+1) x (n+1) block, addressed in its
+    # flattened float64 view: its lower triangle row by row, real and imaginary
+    # parts, less the imaginary part of the diagonal.  The leading n x n part
+    # fills the first n^2, then come the 2n of the border row and the corner.
+    # Also their weights, 2 below the diagonal, under which a packed dot
+    # product is the Frobenius one of the full block; for the leading part the
+    # bins 2 (i - j), plus 1 for an imaginary part, which gather T(u) from u
+    # (T(u)[i, j] = u[i - j] for i >= j) and sum it back by bincount; and the
+    # places of its real diagonal, the last of each row
     i, j = np.tril_indices(n + 1)
     below = i > j
     re = 2 * (i * (n + 1) + j)
     keep = np.stack((np.ones_like(below), below), axis=1).reshape(-1)
     index = np.stack((re, re + 1), axis=1).reshape(-1)[keep]
     weight = np.repeat(np.where(below, 2.0, 1.0), 2)[keep]
-    index = np.concatenate((index, index + 2 * (n + 1) ** 2))
-    weight = np.tile(weight, 2)
-    index.flags.writeable = weight.flags.writeable = False
-    return index, weight
+    offset = 2 * (i - j)
+    bins = np.stack((offset, offset + 1), axis=1).reshape(-1)[keep][: n * n]
+    diag = np.arange(1, n + 1) ** 2 - 1
+    for a in (index, weight, bins, diag):
+        a.flags.writeable = False
+    return index, weight, bins, diag
 
 
 @lru_cache(maxsize=32)
@@ -163,23 +156,6 @@ def _toeplitz_index(n: int) -> np.ndarray:
 def _toeplitz(u: np.ndarray) -> np.ndarray:
     """The Hermitian Toeplitz matrix T(u) with first column u."""
     return np.concatenate((np.conj(u[:0:-1]), u))[_toeplitz_index(len(u))]
-
-
-def _diag_sums(m: np.ndarray, n: int) -> np.ndarray:
-    """Sums over each subdiagonal of an n x n block (offset 0..n-1)."""
-    offsets, flat = _offset_index(n)
-    vals = m.reshape(-1).view(np.float64)[flat]
-    return np.bincount(offsets, weights=vals, minlength=2 * n).view(complex)
-
-
-def _assemble(u: np.ndarray, x: np.ndarray, t: float, q: np.ndarray) -> np.ndarray:
-    """Write [[T(u), x], [x*, t]] into the (n+1) x (n+1) buffer ``q``."""
-    n = len(u)
-    q[:n, :n] = _toeplitz(u)
-    q[:n, n] = x
-    q[n, :n] = np.conj(x)
-    q[n, n] = t
-    return q
 
 
 def _psd_project(s: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -230,12 +206,6 @@ _AA_RIDGE = 1e-10
 _EYE = np.eye(_AA_MEMORY)
 
 
-def _stack(n: int) -> tuple[np.ndarray, np.ndarray]:
-    # a complex (2, n+1, n+1) buffer and its flat float64 view
-    c = np.empty((2, n + 1, n + 1), dtype=complex)
-    return c, c.reshape(-1).view(np.float64)
-
-
 def _admm(
     y: np.ndarray,
     tau: float,
@@ -244,64 +214,72 @@ def _admm(
     warm: DenoisedSolution | None = None,
 ) -> DenoisedSolution:
     n = len(y)
+    lead = n * n
     denom = n - np.arange(n)
-    q = np.empty((n + 1, n + 1), dtype=complex)  # the structured block, refilled each iteration
-    # the iterate w = (Z, Lambda/rho) and the plain step's image g(w), each a
-    # complex (2, n+1, n+1) stack paired with its flat float64 view.  The step
-    # reads only their lower triangles, and the acceleration works on those
-    # alone, packed by _packed_index into vectors of 2 (n+1)^2 reals: w, g(w),
-    # the residual f = g(w) - w, and the previous g and f, which swap buffers
-    # with the current ones every iteration.  The rest of w keeps its start
-    # values: no step uses them, but they must stay finite, because
-    # _psd_project checks the whole block
-    w, w_flat = _stack(n)
-    g, g_flat = _stack(n)
-    index, weight = _packed_index(n)
-    size = len(index)
-    w_vec, g_vec, g_prev, f_vec, f_prev, scratch = np.empty((6, size))
-    d_f = np.empty((_AA_MEMORY, size))  # ring buffers of successive differences
-    d_g = np.empty((_AA_MEMORY, size))
+    index, weight, bins, diag = _packed_index(n)
+    h = len(index)  # (n+1)^2 reals per block
+    # the iterate w = (Z | Lambda/rho), two blocks packed by _packed_index; the
+    # plain step's image g(w), the residual f = g(w) - w, and the previous g and
+    # f, which swap buffers with the current ones every iteration
+    w, g, g_prev, f, f_prev, scratch = np.empty((6, 2 * h))
+    weight = np.tile(weight, 2)
+    d_f = np.empty((_AA_MEMORY, 2 * h))  # ring buffers of successive differences
+    d_g = np.empty((_AA_MEMORY, 2 * h))
     gram = np.empty((_AA_MEMORY, _AA_MEMORY))
     rhs = np.zeros(_AA_MEMORY)  # dF f: the stored differences against the current residual
-    big_z, big_u = w
-    g_z, g_u = g
+    q = np.empty(h)  # the structured block [[T(u), x], [x*, t]], packed
+    block = np.zeros((n + 1, n + 1), dtype=complex)  # q - Lambda/rho in the lower triangle
+    proj = np.empty_like(block)
+    block_flat, proj_flat = block.reshape(-1).view(np.float64), proj.reshape(-1).view(np.float64)
+
+    def project(u: np.ndarray, x: np.ndarray, t: float, out: np.ndarray) -> None:
+        # pack q from (u, x, t), project q - Lambda/rho and pack the result into out
+        q[:lead] = u.view(np.float64)[bins]
+        np.conjugate(x, out=q[lead:-1].view(complex))
+        q[-1] = t
+        block_flat[index] = q - w[h:]
+        _psd_project(block, out=proj)
+        out[:] = proj_flat[index]
+
     x = y.copy()
     if warm is not None and warm.z_state is not None:
-        if warm.z_state.shape != (n + 1, n + 1):
-            raise ValueError(f"warm start has {len(warm.z_state) - 1} samples, the data {n}")
+        if len(warm.z_state) != h:
+            raise ValueError(
+                f"warm start has {math.isqrt(len(warm.z_state)) - 1} samples, the data {n}"
+            )
         rho = warm.rho_state
-        big_z[...] = warm.z_state
-        np.divide(warm.lambda_state, rho, out=big_u)
+        w[:h] = warm.z_state
+        np.divide(warm.lambda_state, rho, out=w[h:])
     else:
-        # autocorrelation-scaled Toeplitz start keeps the first projections tame
-        u = _diag_sums(np.outer(y, np.conj(y)), n) / denom
+        # autocorrelation-scaled Toeplitz start keeps the first projections tame;
+        # the leading part of the packed [[y y^H, 0], [0, 0]] is y y^H's lower triangle
+        padded = np.append(y, 0.0)
+        outer = np.outer(padded, np.conj(padded)).reshape(-1).view(np.float64)[index[:lead]]
+        u = np.bincount(bins, weights=outer, minlength=2 * n).view(complex) / denom
         u[0] = np.real(u[0])
-        _psd_project(_assemble(u, x, float(np.linalg.norm(y)), q), out=big_z)
-        big_u[...] = 0.0
+        w[h:] = 0.0
+        project(u, x, float(np.linalg.norm(y)), out=w[:h])
         rho = _RHO
-    w_vec[:] = w_flat[index]
 
-    half = size // 2
     stored = -1  # differences stored since the memory restarted; -1 forces a restart
     f_min = math.inf
     converged = False
     for it in range(1, config.max_iters + 1):
+        s = w[:h] + w[h:]
         if not fix_x:
-            x = (y + 2.0 * rho * np.conj(big_u[n, :n] + big_z[n, :n])) / (1.0 + 2.0 * rho)
-        t = float(np.real(big_z[n, n] + big_u[n, n])) - tau / (2.0 * rho)
-        m0 = big_z[:n, :n] + big_u[:n, :n]
-        u = _diag_sums(m0, n) / denom
-        u[0] = (m0.trace().real - tau / (2.0 * rho)) / n
+            x = (y + 2.0 * rho * np.conj(s[lead:-1].view(complex))) / (1.0 + 2.0 * rho)
+        t = float(s[-1]) - tau / (2.0 * rho)
+        u = np.bincount(bins, weights=s[:lead], minlength=2 * n).view(complex) / denom
+        # the trace, summed as a complex array in np.trace's order
+        u[0] = (s[diag].astype(complex).sum().real - tau / (2.0 * rho)) / n
 
-        _assemble(u, x, t, q)
-        _psd_project(q - big_u, out=g_z)
-        np.subtract(g_z, q, out=g_u)
-        g_u += big_u
-        g_vec[:] = g_flat[index]
-        np.subtract(g_vec, w_vec, out=f_vec)
-        np.multiply(f_vec, weight, out=scratch)
-        r_primal = math.sqrt(f_vec[half:] @ scratch[half:])
-        r_dual = rho * math.sqrt(f_vec[:half] @ scratch[:half])
+        project(u, x, t, out=g[:h])
+        np.subtract(g[:h], q, out=g[h:])
+        g[h:] += w[h:]
+        np.subtract(g, w, out=f)
+        np.multiply(f, weight, out=scratch)
+        r_primal = math.sqrt(f[h:] @ scratch[h:])
+        r_dual = rho * math.sqrt(f[:h] @ scratch[:h])
 
         if r_primal < _TOL and r_dual < _TOL:
             if fix_x:
@@ -321,15 +299,15 @@ def _admm(
             f_min = min(f_min, f_norm)
             slot = stored % _AA_MEMORY
             stored += 1
-            np.subtract(f_vec, f_prev, out=d_f[slot])
-            np.subtract(g_vec, g_prev, out=d_g[slot])
+            np.subtract(f, f_prev, out=d_f[slot])
+            np.subtract(g, g_prev, out=d_g[slot])
             np.multiply(d_f[slot], weight, out=scratch)
             m = min(stored, _AA_MEMORY)
             gram[slot, :m] = gram[:m, slot] = d_f[:m] @ scratch
             # f = f_prev + dF_slot, so each older dF_j f is its previous value
             # plus the new Gram entry; only the new difference needs a product
             rhs[:m] += gram[:m, slot]
-            rhs[slot] = scratch @ f_vec
+            rhs[slot] = scratch @ f
         m = min(stored, _AA_MEMORY)
         ridge = _AA_RIDGE * gram[:m, :m].trace()
         info = 1
@@ -337,13 +315,12 @@ def _admm(
             _, gamma, info = dposv(gram[:m, :m] + ridge * _EYE[:m, :m], rhs[:m])
         if info == 0:
             # the extrapolated point g(w) - dG gamma
-            np.matmul(gamma, d_g[:m], out=w_vec)
-            np.subtract(g_vec, w_vec, out=w_vec)
+            np.matmul(gamma, d_g[:m], out=w)
+            np.subtract(g, w, out=w)
         else:
-            w_vec[...] = g_vec
-        w_flat[index] = w_vec
-        g_vec, g_prev = g_prev, g_vec
-        f_vec, f_prev = f_prev, f_vec
+            w[...] = g
+        g, g_prev = g_prev, g
+        f, f_prev = f_prev, f
 
         if it % 25 == 0:
             new_rho = rho
@@ -353,13 +330,12 @@ def _admm(
                 new_rho = max(rho * 0.5, 1e-6)
             if new_rho != rho:
                 # Lambda carries over; its scaled copy changes and the memory is stale
-                big_u *= rho / new_rho
-                w_vec[half:] *= rho / new_rho
+                w[h:] *= rho / new_rho
                 rho = new_rho
                 stored = -1
 
     if converged:
-        big_z, big_u = g_z, g_u
+        w = g
     norm_value = 0.5 * (t + float(np.real(u[0])))
     objective = 0.5 * float(np.linalg.norm(y - x) ** 2) + tau * norm_value
     return DenoisedSolution(
@@ -373,8 +349,8 @@ def _admm(
         converged=converged,
         objective=objective,
         atomic_norm_value=norm_value,
-        z_state=big_z.copy(),
-        lambda_state=rho * big_u,
+        z_state=w[:h].copy(),
+        lambda_state=rho * w[h:],
         rho_state=rho,
     )
 

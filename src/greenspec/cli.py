@@ -74,13 +74,22 @@ def _seed(text: str) -> int:
     return int(text)
 
 
+def _window(text: str) -> float:
+    """argparse type: a window t_max, a positive finite number.
+
+    No cell can hold a window of zero or less: two-sided cells start at
+    -t_max, and one-sided ones need t_max > t0 >= 0.
+    """
+    value = float(text)
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"a window is a positive finite number, not {text!r}")
+    return value
+
+
 def _comma_list(kind):
-    """argparse type: a comma-separated list of finite ``kind`` values."""
+    """argparse type: a comma-separated list of ``kind`` values."""
     def parse(text: str) -> list:
-        values = [kind(v) for v in text.split(",")]
-        if not all(map(math.isfinite, values)):
-            raise argparse.ArgumentTypeError(f"every value must be finite, not {text!r}")
-        return values
+        return [kind(v) for v in text.split(",")]
     parse.__name__ = f"comma-separated {kind.__name__}"  # argparse names the type in errors
     return parse
 
@@ -132,6 +141,11 @@ def cmd_reconstruct(args) -> int:
         pipeline.rescale_map_for_grid(config, signal.grid)
     if args.convention == "retarded":
         signal = _retarded(signal, 1j)
+    if args.mitigate:
+        try:
+            qsim.zero_time_index(signal.grid)
+        except ValueError as exc:
+            raise _UsageError(str(exc)) from exc
     os.makedirs(args.out, exist_ok=True)
     methods = ("anm", "dft") if args.method == "both" else (args.method,)
     for method in methods:
@@ -242,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", parents=[writes], help="error versus window length")
     p_sweep.add_argument(
-        "--t-max", type=_comma_list(float), required=True, help="comma-separated window lengths"
+        "--t-max", type=_comma_list(_window), required=True, help="comma-separated window lengths"
     )
     p_sweep.add_argument(
         "--seeds", type=_comma_list(_seed), help="comma-separated seeds; default: the config seed"

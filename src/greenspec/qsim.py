@@ -32,7 +32,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.linalg import block_diag
 
-from .spectrum import LineSpectrum, Pole, TimeSignal
+from .spectrum import LineSpectrum, Pole, SamplingGrid, TimeSignal
 
 _PAULI_MATS = {
     "I": np.eye(2, dtype=complex),
@@ -466,6 +466,15 @@ def spectral_oracle(params: ModelParams) -> LineSpectrum:
     return LineSpectrum(tuple(poles), "physical")
 
 
+def zero_time_index(grid: SamplingGrid) -> int:
+    """Index of the sample at t = 0, which mitigation reads; ValueError if there is none."""
+    times = grid.times()
+    k = int(np.argmin(np.abs(times)))
+    if abs(times[k]) > 1e-6 * grid.dt:  # beyond rounding of t0 + k dt
+        raise ValueError(f"mitigation needs a sample at t = 0; the nearest is at t = {times[k]}")
+    return k
+
+
 def mitigate_gate_error(signal: TimeSignal, reference: float = 1.0) -> tuple[TimeSignal, float]:
     """Undo a uniform amplitude-damping factor using the known t=0 value.
 
@@ -475,10 +484,7 @@ def mitigate_gate_error(signal: TimeSignal, reference: float = 1.0) -> tuple[Tim
     two for the two-sided one), clamped to (0, 1], and divided out of every
     sample.  A grid with no sample at t = 0 is rejected.
     """
-    times = signal.grid.times()
-    k = int(np.argmin(np.abs(times)))
-    if abs(times[k]) > 1e-6 * signal.grid.dt:  # beyond rounding of t0 + k dt
-        raise ValueError(f"mitigation needs a sample at t = 0; the nearest is at t = {times[k]}")
+    k = zero_time_index(signal.grid)
     alpha = float(np.abs(signal.samples[k])) / reference
     if not np.isfinite(alpha) or alpha <= 0.0:
         raise ValueError(f"gate-error scale estimate {alpha} is not usable")

@@ -309,11 +309,15 @@ def signal_from_json(data: dict) -> TimeSignal:
 
     A record of the wrong shape raises TypeError: ``t0`` or ``dt`` that is not
     a number, ``n`` that is not an integer or not the number of samples, or a
-    sample that is not an ``[re, im]`` pair.  The grid and the signal check
-    the values and raise ValueError, for instance on fewer than two samples.
+    sample that is not an ``[re, im]`` pair of numbers.  A JSON boolean is not
+    a number here.  The grid and the signal check the values and raise
+    ValueError, for instance on fewer than two samples.
     """
+    def number(value) -> bool:
+        return isinstance(value, (int, float)) and not isinstance(value, bool)
+
     for key in ("t0", "dt"):
-        if isinstance(data[key], bool) or not isinstance(data[key], (int, float)):
+        if not number(data[key]):
             raise TypeError(f"{key} must be a number, got {data[key]!r}")
     n, samples = data["n"], data["samples"]
     if isinstance(n, bool) or not isinstance(n, int):
@@ -321,8 +325,8 @@ def signal_from_json(data: dict) -> TimeSignal:
     if len(samples) != n:
         raise TypeError(f"n is {n}, but it holds {len(samples)} samples")
     for sample in samples:
-        if not (isinstance(sample, list) and len(sample) == 2):
-            raise TypeError(f"a sample must be an [re, im] pair, got {sample!r}")
+        if not (isinstance(sample, list) and len(sample) == 2 and all(map(number, sample))):
+            raise TypeError(f"a sample must be an [re, im] pair of numbers, got {sample!r}")
     grid = SamplingGrid(t0=float(data["t0"]), n=n, dt=float(data["dt"]))
     return TimeSignal(grid, np.array([complex(re, im) for re, im in samples]), PHYSICAL)
 

@@ -8,8 +8,7 @@ from scipy.linalg import toeplitz
 from greenspec import anm
 from greenspec.anm import (
     AnmConfig,
-    _assemble,
-    _diag_sums,
+    _packed_index,
     _psd_project,
     _toeplitz,
     atomic_denoise,
@@ -61,37 +60,52 @@ def random_complex(rng, *shape):
     return rng.normal(size=shape) + 1j * rng.normal(size=shape)
 
 
+def pack(block):
+    """The packed lower triangle of one complex (n+1) x (n+1) block."""
+    index = _packed_index(block.shape[-1] - 1)[0]
+    return block.reshape(-1).view(np.float64)[index]
+
+
 class TestBlockHelpers:
     @pytest.mark.parametrize("n", BLOCK_SIZES)
-    def test_assemble_matches_toeplitz_reference(self, n):
+    def test_bin_gather_matches_toeplitz_reference(self, n):
         rng = np.random.default_rng(n)
-        u, x = random_complex(rng, n), random_complex(rng, n)
-        t = float(rng.normal())
-        expected = np.empty((n + 1, n + 1), dtype=complex)
-        expected[:n, :n] = toeplitz(u, np.conj(u))
-        expected[:n, n] = x
-        expected[n, :n] = np.conj(x)
-        expected[n, n] = t
-        buffer = np.full((n + 1, n + 1), np.nan, dtype=complex)
-        q = _assemble(u, x, t, buffer)
-        assert q is buffer
-        assert np.array_equal(q, expected)
+        u = random_complex(rng, n)
+        _, _, bins, _ = _packed_index(n)
+        block = np.zeros((n + 1, n + 1), dtype=complex)
+        block[:n, :n] = toeplitz(u, np.conj(u))
+        assert np.array_equal(u.view(np.float64)[bins], pack(block)[: n * n])
 
     @pytest.mark.parametrize("n", BLOCK_SIZES)
-    def test_diag_sums_match_trace(self, n):
+    def test_bincount_matches_trace(self, n):
         rng = np.random.default_rng(100 + n)
-        m = random_complex(rng, n, n)
-        sums = _diag_sums(m, n)
+        m = random_complex(rng, n + 1, n + 1)
+        _, _, bins, _ = _packed_index(n)
+        sums = np.bincount(bins, weights=pack(m)[: n * n], minlength=2 * n).view(complex)
         assert sums.shape == (n,)
-        for k in range(n):
-            assert sums[k] == pytest.approx(np.trace(m, offset=-k), rel=1e-13, abs=1e-13)
+        # the imaginary part of the diagonal is not packed
+        assert sums[0] == pytest.approx(np.trace(m[:n, :n]).real, rel=1e-13, abs=1e-13)
+        for k in range(1, n):
+            assert sums[k] == pytest.approx(np.trace(m[:n, :n], offset=-k), rel=1e-13, abs=1e-13)
 
-    def test_diag_sums_exact_on_integer_blocks(self):
+    def test_bincount_exact_on_integer_blocks(self):
         # integer-valued entries sum exactly in any order
         rng = np.random.default_rng(7)
-        m = rng.integers(-50, 50, (24, 24)) + 1j * rng.integers(-50, 50, (24, 24))
-        sums = _diag_sums(m.astype(complex), 24)
-        assert np.array_equal(sums, [np.trace(m, offset=-k) for k in range(24)])
+        m = rng.integers(-50, 50, (25, 25)) + 1j * rng.integers(-50, 50, (25, 25))
+        _, _, bins, _ = _packed_index(24)
+        sums = np.bincount(bins, weights=pack(m.astype(complex))[: 24 * 24], minlength=48)
+        expected = [np.trace(m[:24, :24], offset=-k) for k in range(24)]
+        expected[0] = expected[0].real
+        assert np.array_equal(sums.view(complex), expected)
+
+    def test_diagonal_sums_as_trace(self):
+        # the solver sums the packed real diagonal to the bit of np.trace
+        rng = np.random.default_rng(8)
+        for n in range(1, 64):
+            m = random_complex(rng, n + 1, n + 1)
+            _, _, _, diag = _packed_index(n)
+            assert np.array_equal(np.diagonal(m)[:n].real, pack(m)[diag])
+            assert pack(m)[diag].astype(complex).sum().real == np.trace(m[:n, :n]).real
 
 
 def eigh_clip(s):
@@ -292,24 +306,19 @@ class TestDualityGap:
             atomic_denoise(make_signal(8, [0.3], [1.0]), cfg, warm=prior)
 
 
-def hermitian_stack(rng, size):
-    a = random_complex(rng, 2, size, size)
-    return a + a.conj().transpose(0, 2, 1)
-
-
-def pack(stack):
-    index, _ = anm._packed_index(stack.shape[-1] - 1)
-    return stack.reshape(-1).view(np.float64)[index]
+def hermitian(rng, size):
+    a = random_complex(rng, size, size)
+    return a + a.conj().T
 
 
 class TestAcceleration:
     @pytest.mark.parametrize("size", (2, 3, 9, 48))
     def test_packed_products_are_frobenius(self, size):
         rng = np.random.default_rng(300 + size)
-        a, b = hermitian_stack(rng, size), hermitian_stack(rng, size)
-        _, weight = anm._packed_index(size - 1)
-        assert len(weight) == 2 * size**2
-        # Re tr(A^H B) summed over the two blocks
+        a, b = hermitian(rng, size), hermitian(rng, size)
+        _, weight, _, _ = _packed_index(size - 1)
+        assert len(weight) == size**2
+        # Re tr(A^H B)
         expected = np.vdot(a, b).real
         assert pack(a) @ (weight * pack(b)) == pytest.approx(expected, rel=1e-13)
         assert pack(a) @ (weight * pack(a)) == pytest.approx(np.linalg.norm(a) ** 2, rel=1e-13)
@@ -317,38 +326,15 @@ class TestAcceleration:
     @pytest.mark.parametrize("size", (2, 3, 9, 48))
     def test_pack_then_unpack_keeps_lower_triangle(self, size):
         rng = np.random.default_rng(400 + size)
-        a = random_complex(rng, 2, size, size)  # not Hermitian: only the lower triangle is packed
-        index, _ = anm._packed_index(size - 1)
-        assert len(np.unique(index)) == len(index)
+        a = random_complex(rng, size, size)  # not Hermitian: only the lower triangle is packed
+        index = _packed_index(size - 1)[0]
+        assert len(np.unique(index)) == len(index) == size**2
         back = np.zeros_like(a)
         back.reshape(-1).view(np.float64)[index] = pack(a)
         below = np.tril_indices(size, -1)
-        for k in range(2):
-            assert np.array_equal(back[k][below], a[k][below])
-            assert np.array_equal(np.diagonal(back[k]), np.diagonal(a[k]).real)
-            assert not np.triu(back[k], 1).any()
-
-    def test_warm_start_reads_only_lower_triangles(self):
-        # the solver's state is Hermitian and read from its lower triangles, so
-        # scrambling the strict upper triangles of a warm start changes nothing
-        n = 12
-        rng = np.random.default_rng(500)
-        samples = atoms(n, rng.uniform(0, 1, 3)) @ random_complex(rng, 3)
-        samples = samples + 0.05 * random_complex(rng, n)
-        y = TimeSignal(SamplingGrid(0.0, n, 1.0), samples, CANONICAL)
-        tau = 0.05 * float(np.linalg.norm(samples))
-        prior = atomic_denoise(y, AnmConfig(tau=2.0 * tau))
-        upper = np.triu_indices(n + 1, 1)
-        z, lam = prior.z_state.copy(), prior.lambda_state.copy()
-        z[upper] = random_complex(rng, len(upper[0]))
-        lam[upper] = random_complex(rng, len(upper[0]))
-        scrambled = replace(prior, z_state=z, lambda_state=lam)
-        sol = atomic_denoise(y, AnmConfig(tau=tau), warm=prior)
-        other = atomic_denoise(y, AnmConfig(tau=tau), warm=scrambled)
-        assert sol.converged
-        assert np.array_equal(other.x_hat, sol.x_hat)
-        assert other.iterations == sol.iterations
-        assert other.converged == sol.converged
+        assert np.array_equal(back[below], a[below])
+        assert np.array_equal(np.diagonal(back), np.diagonal(a).real)
+        assert not np.triu(back, 1).any()
 
     def test_failed_gram_solve_takes_plain_step(self, monkeypatch):
         # with every Gram factorization failing, each iteration is the plain

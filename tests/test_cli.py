@@ -297,6 +297,7 @@ class TestReconstructCommand:
             ("t0", "abc"),
             ("sample", [1.0, 2.0, 3.0]),
             ("sample", "x"),
+            ("sample", [True, False]),  # complex() would read it as 1+0j
         ],
     )
     def test_malformed_signal_is_io_error(self, tmp_path, capsys, field, value):
@@ -335,6 +336,22 @@ class TestReconstructCommand:
         assert code == 3
         assert "finite" in capsys.readouterr().err
         assert not (out_dir / "report_dft.json").exists()
+
+    def test_mitigation_without_time_zero_is_usage_error(self, tmp_path, capsys):
+        # mitigation reads the sample at t = 0, so a grid without one is refused
+        # before any output is written
+        cfg = write_config(tmp_path / "cfg.json")
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path), "--quiet"]) == 0
+        sig = load_json(tmp_path / "signal.json")
+        sig["t0"] = 0.5 * sig["dt"]
+        (tmp_path / "signal.json").write_text(json.dumps(sig))
+        capsys.readouterr()
+        out_dir = tmp_path / "out"
+        code = main(["reconstruct", str(tmp_path / "signal.json"), "--config", cfg,
+                     "--out", str(out_dir), "--method", "dft", "--mitigate", "--quiet"])
+        assert code == 1
+        assert "needs a sample at t = 0" in capsys.readouterr().err
+        assert not out_dir.exists()
 
     def test_non_object_signal_is_io_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "cfg.json")
@@ -477,6 +494,8 @@ class TestSweepCommand:
             ("--t-max", "nan"),
             ("--t-max", "inf"),
             ("--t-max", "1e400"),  # overflows to inf
+            ("--t-max", "0"),  # no window is empty or negative
+            ("--t-max", "0.3,-1,0"),
             ("--seeds", "x"),
             ("--seeds", "0,-1"),
         ],
