@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -99,10 +99,10 @@ class DenoisedSolution:
     objective: float
     atomic_norm_value: float
     # solver state for warm restarts on the same data along a regularization
-    # path: Z, Lambda and rho of the final iterate, in the solver's units of
-    # ||y||; Z and Lambda as the (n+1)^2 reals of their packed lower triangles
-    z_state: np.ndarray | None = None
-    lambda_state: np.ndarray | None = None
+    # path: the final iterate w = (Z | Lambda/rho), the 2 (n+1)^2 reals of the
+    # two blocks' packed lower triangles in the solver's units of ||y||, and
+    # its rho; None for the zero signal, which is not iterated
+    w_state: np.ndarray | None = None
     rho_state: float | None = None
 
 
@@ -144,18 +144,6 @@ def _packed_index(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarra
     for a in (index, weight, bins, diag):
         a.flags.writeable = False
     return index, weight, bins, diag
-
-
-@lru_cache(maxsize=32)
-def _toeplitz_index(n: int) -> np.ndarray:
-    # T(u)[i, j] = w[(n - 1) + i - j] with w = (conj(u[n-1]), ..., conj(u[1]), u[0], ..., u[n-1])
-    i, j = np.indices((n, n))
-    return (n - 1) + i - j
-
-
-def _toeplitz(u: np.ndarray) -> np.ndarray:
-    """The Hermitian Toeplitz matrix T(u) with first column u."""
-    return np.concatenate((np.conj(u[:0:-1]), u))[_toeplitz_index(len(u))]
 
 
 def _psd_project(s: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -207,13 +195,30 @@ _EYE = np.eye(_AA_MEMORY)
 
 
 def _admm(
-    y: np.ndarray,
+    samples: np.ndarray,
     tau: float,
     config: AnmConfig,
     fix_x: bool,
     warm: DenoisedSolution | None = None,
 ) -> DenoisedSolution:
-    n = len(y)
+    n = len(samples)
+    scale = float(np.linalg.norm(samples))
+    if scale == 0.0:
+        zeros = np.zeros(n, dtype=complex)
+        return DenoisedSolution(
+            x_hat=zeros,
+            dual=zeros.copy(),
+            toeplitz_vec=zeros.copy(),
+            tau=tau,
+            iterations=0,
+            primal_residual=0.0,
+            dual_residual=0.0,
+            converged=True,
+            objective=0.0,
+            atomic_norm_value=0.0,
+        )
+    # the solve runs in units of ||y||, so its tolerances hold at any magnitude
+    y, tau_y = samples / scale, tau / scale
     lead = n * n
     denom = n - np.arange(n)
     index, weight, bins, diag = _packed_index(n)
@@ -242,14 +247,13 @@ def _admm(
         out[:] = proj_flat[index]
 
     x = y.copy()
-    if warm is not None and warm.z_state is not None:
-        if len(warm.z_state) != h:
+    if warm is not None and warm.w_state is not None:
+        if len(warm.w_state) != 2 * h:
             raise ValueError(
-                f"warm start has {math.isqrt(len(warm.z_state)) - 1} samples, the data {n}"
+                f"warm start has {math.isqrt(len(warm.w_state) // 2) - 1} samples, the data {n}"
             )
+        w[:] = warm.w_state
         rho = warm.rho_state
-        w[:h] = warm.z_state
-        np.divide(warm.lambda_state, rho, out=w[h:])
     else:
         # autocorrelation-scaled Toeplitz start keeps the first projections tame;
         # the leading part of the packed [[y y^H, 0], [0, 0]] is y y^H's lower triangle
@@ -268,10 +272,10 @@ def _admm(
         s = w[:h] + w[h:]
         if not fix_x:
             x = (y + 2.0 * rho * np.conj(s[lead:-1].view(complex))) / (1.0 + 2.0 * rho)
-        t = float(s[-1]) - tau / (2.0 * rho)
+        t = float(s[-1]) - tau_y / (2.0 * rho)
         u = np.bincount(bins, weights=s[:lead], minlength=2 * n).view(complex) / denom
         # the trace, summed as a complex array in np.trace's order
-        u[0] = (s[diag].astype(complex).sum().real - tau / (2.0 * rho)) / n
+        u[0] = (s[diag].astype(complex).sum().real - tau_y / (2.0 * rho)) / n
 
         project(u, x, t, out=g[:h])
         np.subtract(g[:h], q, out=g[h:])
@@ -285,7 +289,7 @@ def _admm(
             if fix_x:
                 converged = True
                 break
-            q_max = float(np.max(np.abs(np.fft.fft((y - x) / tau, _cert_points(len(y))))))
+            q_max = float(np.max(np.abs(np.fft.fft((y - x) / tau_y, _cert_points(n)))))
             if q_max <= 1.0 + _CERT_SLACK:
                 converged = True
                 break
@@ -337,20 +341,19 @@ def _admm(
     if converged:
         w = g
     norm_value = 0.5 * (t + float(np.real(u[0])))
-    objective = 0.5 * float(np.linalg.norm(y - x) ** 2) + tau * norm_value
+    objective = 0.5 * float(np.linalg.norm(y - x) ** 2) + tau_y * norm_value
     return DenoisedSolution(
-        x_hat=x,
-        dual=(y - x) / tau,
-        toeplitz_vec=u,
+        x_hat=x * scale,
+        dual=(y - x) / tau_y,  # (y - x)/tau is scale invariant
+        toeplitz_vec=u * scale,
         tau=tau,
         iterations=it,
         primal_residual=r_primal,
         dual_residual=r_dual,
         converged=converged,
-        objective=objective,
-        atomic_norm_value=norm_value,
-        z_state=w[:h].copy(),
-        lambda_state=rho * w[h:],
+        objective=objective * scale**2,
+        atomic_norm_value=norm_value * scale,
+        w_state=w.copy(),
         rho_state=rho,
     )
 
@@ -363,10 +366,12 @@ def atomic_denoise(
     """Solve the regularized denoising program for a canonical signal.
 
     ``config.tau`` must be a number; the string policies are resolved by the
-    pipeline, and passing one here raises ValueError.  The problem is solved
-    in units of ||y|| and rescaled back, so tolerances behave uniformly
-    across signal magnitudes.  A ``warm`` prior solve of the same data at a
-    nearby tau shortcuts convergence; one of another length raises ValueError.
+    pipeline, and passing one here raises ValueError.  The solve runs in
+    units of ||y|| and rescales its result back, so tolerances behave
+    uniformly across signal magnitudes; the zero signal returns the zero
+    solution without iterating.  A ``warm`` prior solve of the same data at
+    a nearby tau starts from its final iterate and rho, which shortcuts
+    convergence; one of another length raises ValueError.
     """
     if y.domain != "canonical":
         raise ValueError("atomic_denoise expects a canonical-domain signal")
@@ -379,33 +384,7 @@ def atomic_denoise(
             f"n = {n}: separation guarantees are vacuous for so few samples",
             stacklevel=2,
         )
-    tau = float(config.tau)
-
-    scale = float(np.linalg.norm(samples))
-    if scale == 0.0:
-        zeros = np.zeros(n, dtype=complex)
-        return DenoisedSolution(
-            x_hat=zeros,
-            dual=zeros.copy(),
-            toeplitz_vec=zeros.copy(),
-            tau=tau,
-            iterations=0,
-            primal_residual=0.0,
-            dual_residual=0.0,
-            converged=True,
-            objective=0.0,
-            atomic_norm_value=0.0,
-        )
-    sol = _admm(samples / scale, tau / scale, config, fix_x=False, warm=warm)
-    return replace(
-        sol,
-        x_hat=sol.x_hat * scale,
-        dual=sol.dual,  # (y - x)/tau is scale invariant
-        toeplitz_vec=sol.toeplitz_vec * scale,
-        tau=tau,
-        objective=sol.objective * scale**2,
-        atomic_norm_value=sol.atomic_norm_value * scale,
-    )
+    return _admm(samples, float(config.tau), config, fix_x=False, warm=warm)
 
 
 def atomic_norm(x: TimeSignal) -> float:
@@ -413,11 +392,9 @@ def atomic_norm(x: TimeSignal) -> float:
     if x.domain != "canonical":
         raise ValueError("atomic_norm expects a canonical-domain signal")
     samples = np.asarray(x.samples, dtype=complex)
-    scale = float(np.linalg.norm(samples))
-    if scale == 0.0:
-        return 0.0
-    sol = _admm(samples / scale, 1.0, AnmConfig(), fix_x=True)
-    return sol.atomic_norm_value * scale
+    # tau = ||x|| is the weight 1 in the solve's units of ||x||
+    sol = _admm(samples, float(np.linalg.norm(samples)), AnmConfig(), fix_x=True)
+    return sol.atomic_norm_value
 
 
 def _cert_points(n: int) -> int:
@@ -451,7 +428,11 @@ def locate_peaks(solution: DenoisedSolution) -> list[float]:
     """
     u = solution.toeplitz_vec
     n = len(u)
-    w, v = np.linalg.eigh(_toeplitz(u))
+    # the lower triangle of T(u), gathered through the solver's bins; eigh reads no more
+    index, _, bins, _ = _packed_index(n)
+    block = np.zeros((n + 1, n + 1), dtype=complex)
+    block.reshape(-1).view(np.float64)[index[: n * n]] = u.view(np.float64)[bins]
+    w, v = np.linalg.eigh(block[:n, :n])
     y_norm = float(np.linalg.norm(solution.x_hat + solution.tau * solution.dual))
     cut = max(_RANK_CUT, solution.primal_residual, solution.dual_residual)
     r = min(n - 1, int(np.count_nonzero(w > cut * max(w[-1], math.sqrt(n) * y_norm))))

@@ -192,13 +192,17 @@ def prepare_ground_state(params: ModelParams) -> StateVector:
     The state is cos(theta/2) (|00> + |11>)/sqrt2 + sin(theta/2)
     (|01> + |10>)/sqrt2 with theta = -2 arccos(1/sqrt(1 + a^2)) and
     a = (U + sqrt(U^2 + (8V)^2)) / (8V).  Hopping V = 0 makes the angle
-    formula singular (the model decouples), so it is rejected.
+    formula singular (the model decouples), so it is rejected, and so is a
+    model whose U^2 or (8V)^2 overflows a float.
     """
     u, v = params.u, params.v
     if v == 0:
         raise ValueError("V = 0: ground-state angle undefined (decoupled sites)")
-    a = (u + np.sqrt(u**2 + (8.0 * v) ** 2)) / (8.0 * v)
-    theta = -2.0 * np.arccos(1.0 / np.sqrt(1.0 + a**2))
+    try:
+        a = (u + np.sqrt(u**2 + (8.0 * v) ** 2)) / (8.0 * v)
+        theta = -2.0 * np.arccos(1.0 / np.sqrt(1.0 + a**2))
+    except OverflowError as exc:
+        raise ValueError(f"U = {u}, V = {v}: ground-state angle overflows a float") from exc
     c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
     amps = np.array([c, s, s, c], dtype=complex) / np.sqrt(2.0)
     return StateVector(amps)

@@ -311,10 +311,17 @@ def signal_from_json(data: dict) -> TimeSignal:
     a number, ``n`` that is not an integer or not the number of samples, or a
     sample that is not an ``[re, im]`` pair of numbers.  A JSON boolean is not
     a number here.  The grid and the signal check the values and raise
-    ValueError, for instance on fewer than two samples.
+    ValueError, for instance on fewer than two samples, or on a non-finite
+    value, which includes an integer too large for a float.
     """
     def number(value) -> bool:
         return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+    def real(value) -> float:
+        try:
+            return float(value)
+        except OverflowError:  # an int past the float range
+            return math.inf if value > 0 else -math.inf
 
     for key in ("t0", "dt"):
         if not number(data[key]):
@@ -327,8 +334,8 @@ def signal_from_json(data: dict) -> TimeSignal:
     for sample in samples:
         if not (isinstance(sample, list) and len(sample) == 2 and all(map(number, sample))):
             raise TypeError(f"a sample must be an [re, im] pair of numbers, got {sample!r}")
-    grid = SamplingGrid(t0=float(data["t0"]), n=n, dt=float(data["dt"]))
-    return TimeSignal(grid, np.array([complex(re, im) for re, im in samples]), PHYSICAL)
+    grid = SamplingGrid(t0=real(data["t0"]), n=n, dt=real(data["dt"]))
+    return TimeSignal(grid, np.array([complex(real(re), real(im)) for re, im in samples]), PHYSICAL)
 
 
 def dump_json(obj, path) -> None:

@@ -10,7 +10,6 @@ from greenspec.anm import (
     AnmConfig,
     _packed_index,
     _psd_project,
-    _toeplitz,
     atomic_denoise,
     atomic_norm,
     dual_polynomial_grid,
@@ -204,9 +203,47 @@ class TestAtomicNorm:
 
 class TestAtomicDenoise:
     def test_zero_signal(self):
+        # returned as is, without iterating and so with no warm state
         y = make_signal(8, [0.1], [0.0])
         sol = atomic_denoise(y, AnmConfig(tau=0.1))
-        np.testing.assert_array_equal(sol.x_hat, np.zeros(8))
+        for vec in (sol.x_hat, sol.dual, sol.toeplitz_vec):
+            np.testing.assert_array_equal(vec, np.zeros(8))
+        assert (sol.iterations, sol.converged, sol.tau) == (0, True, 0.1)
+        assert sol.primal_residual == sol.dual_residual == 0.0
+        assert sol.objective == sol.atomic_norm_value == 0.0
+        assert sol.w_state is None and sol.rho_state is None
+
+    @pytest.mark.filterwarnings("ignore:n = .*separation guarantees")
+    @pytest.mark.parametrize("n", (3, 8, 24, 47))
+    def test_solve_runs_in_units_of_the_signal_norm(self, n):
+        # scaling y and tau by a power of two scales y / ||y|| and tau / ||y||
+        # by exactly one, so the iterates are the same and x_hat scales exactly
+        rng = np.random.default_rng(600 + n)
+        samples = atoms(n, rng.uniform(0, 1, 3)) @ random_complex(rng, 3)
+        samples = samples + 0.05 * random_complex(rng, n)
+        tau = 0.05 * float(np.linalg.norm(samples))
+        grid = SamplingGrid(0.0, n, 1.0)
+        sol = atomic_denoise(TimeSignal(grid, samples, CANONICAL), AnmConfig(tau=tau))
+        big = atomic_denoise(TimeSignal(grid, 4.0 * samples, CANONICAL), AnmConfig(tau=4.0 * tau))
+        assert sol.converged and big.converged
+        np.testing.assert_array_equal(big.x_hat, 4.0 * sol.x_hat)
+        np.testing.assert_array_equal(big.dual, sol.dual)
+        assert big.iterations == sol.iterations
+
+    @pytest.mark.filterwarnings("ignore:n = .*separation guarantees")
+    @pytest.mark.parametrize("n", (3, 8, 24, 47))
+    def test_warm_start_from_own_solution_stops_at_once(self, n):
+        # the warm state is the converged iterate and its rho, so the first
+        # plain step from it already meets every stop test
+        rng = np.random.default_rng(700 + n)
+        samples = atoms(n, rng.uniform(0, 1, 3)) @ random_complex(rng, 3)
+        samples = samples + 0.05 * random_complex(rng, n)
+        y = TimeSignal(SamplingGrid(0.0, n, 1.0), samples, CANONICAL)
+        cfg = AnmConfig(tau=0.05 * float(np.linalg.norm(samples)))
+        cold = atomic_denoise(y, cfg)
+        again = atomic_denoise(y, cfg, warm=cold)
+        assert cold.converged and cold.iterations > 1
+        assert again.converged and again.iterations == 1
 
     def test_single_atom_shrinkage(self):
         # closed form: x_hat = (1 - tau/(n|c|)) c a(f)
@@ -501,7 +538,7 @@ class TestLocatePeaks:
         y = TimeSignal(SamplingGrid(0.0, n, 1.0), samples, CANONICAL)
         sol = atomic_denoise(y, AnmConfig(tau=0.3, max_iters=3))
         assert not sol.converged
-        eig = np.linalg.eigvalsh(_toeplitz(sol.toeplitz_vec))
+        eig = np.linalg.eigvalsh(toeplitz(sol.toeplitz_vec, np.conj(sol.toeplitz_vec)))
         assert eig[0] > 1e-8 * eig[-1]  # no eigenvalue is cut: rank n
         peaks = locate_peaks(sol)
         assert 0 < len(peaks) <= n - 1
@@ -516,7 +553,7 @@ class TestLocatePeaks:
         y = TimeSignal(SamplingGrid(0.0, n, 1.0), random_complex(rng, n), CANONICAL)
         sol = atomic_denoise(y, AnmConfig(tau=1e-3))
         assert sol.converged
-        eig = np.linalg.eigvalsh(_toeplitz(sol.toeplitz_vec))
+        eig = np.linalg.eigvalsh(toeplitz(sol.toeplitz_vec, np.conj(sol.toeplitz_vec)))
         assert eig[0] > 1e-2 * eig[-1]
         peaks = locate_peaks(sol)
         assert len(peaks) == n - 1

@@ -179,6 +179,24 @@ class TestSimulateCommand:
         assert "bad config" in capsys.readouterr().err
         assert os.listdir(tmp_path) == ["cfg.json"]
 
+    @pytest.mark.parametrize(
+        "model", [{"u": 1e200, "v": 0.745}, {"u": 4.0, "v": 1e200}], ids=["huge-u", "huge-v"]
+    )
+    @pytest.mark.parametrize(
+        "command",
+        [["simulate"], ["oracle"], ["sweep", "--t-max", "0.5"], ["reconstruct", "signal.json"]],
+        ids=["simulate", "oracle", "sweep", "reconstruct"],
+    )
+    def test_overflowing_model_is_usage_error(
+        self, tmp_path, monkeypatch, capsys, command, model
+    ):
+        # U^2 or (8V)^2 past the float range leaves the ground-state angle undefined
+        monkeypatch.chdir(tmp_path)  # the default output directory
+        cfg = write_config(tmp_path / "cfg.json", model=model, signal={"t_max": 1.0, "n": 5})
+        assert main([*command, "--config", cfg]) == 1
+        assert "bad config" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["cfg.json"]
+
     def test_missing_config_is_io_error(self, tmp_path):
         assert main(["simulate", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path)]) == 2
 
@@ -318,24 +336,35 @@ class TestReconstructCommand:
         assert "cannot read signal" in capsys.readouterr().err
         assert not (out_dir / "report_dft.json").exists()
 
-    @pytest.mark.parametrize("field", ["samples", "t0"])
-    def test_non_finite_signal_is_numeric_failure(self, tmp_path, capsys, field):
-        # json reads NaN; a non-finite sample or grid would score as an empty spectrum
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("samples", math.nan),
+            ("t0", math.nan),
+            ("samples", 10**400),
+            ("t0", 10**400),
+            ("dt", 10**400),
+        ],
+        ids=["samples", "t0", "samples-huge-int", "t0-huge-int", "dt-huge-int"],
+    )
+    def test_non_finite_signal_is_numeric_failure(self, tmp_path, capsys, field, value):
+        # json reads NaN, and integers too large for a float; a non-finite
+        # sample or grid would score as an empty spectrum
         cfg = write_config(tmp_path / "cfg.json")
-        out_dir = tmp_path / "out"
-        assert main(["simulate", "--config", cfg, "--out", str(out_dir), "--quiet"]) == 0
-        sig = load_json(out_dir / "signal.json")
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path), "--quiet"]) == 0
+        sig = load_json(tmp_path / "signal.json")
         if field == "samples":
-            sig["samples"][0] = [math.nan, 0.0]
+            sig["samples"][0] = [value, 0.0]
         else:
-            sig["t0"] = math.nan
-        (out_dir / "signal.json").write_text(json.dumps(sig))
+            sig[field] = value
+        (tmp_path / "signal.json").write_text(json.dumps(sig))
         capsys.readouterr()
-        code = main(["reconstruct", str(out_dir / "signal.json"), "--config", cfg,
+        out_dir = tmp_path / "out"
+        code = main(["reconstruct", str(tmp_path / "signal.json"), "--config", cfg,
                      "--out", str(out_dir), "--method", "dft", "--quiet"])
         assert code == 3
         assert "finite" in capsys.readouterr().err
-        assert not (out_dir / "report_dft.json").exists()
+        assert not out_dir.exists()
 
     def test_mitigation_without_time_zero_is_usage_error(self, tmp_path, capsys):
         # mitigation reads the sample at t = 0, so a grid without one is refused
