@@ -20,7 +20,8 @@ which LAPACK's zheevr finds by bisection and inverse iteration without the
 rest of the spectrum), and one multiplier step.  The solver's state is
 w = (Z | Lambda/rho), the two Hermitian blocks packed into 2 (n+1)^2 reals
 by their lower triangles; the update reads (x, u, t) straight off the packed
-sum, and only the projection unpacks one block.  The plain step is a
+sum, and only the projection unpacks one block.  A cold solve starts from
+w = 0, a warm one from a prior solve's final w and rho.  The plain step is a
 fixed-point map w -> g(w), and type-II Anderson acceleration (Walker & Ni,
 SIAM J. Numer. Anal. 2011) extrapolates it from the last twenty residual
 differences, as SCS 3.0 does for its ADMM, with inner products weighted so
@@ -237,16 +238,7 @@ def _admm(
     proj = np.empty_like(block)
     block_flat, proj_flat = block.reshape(-1).view(np.float64), proj.reshape(-1).view(np.float64)
 
-    def project(u: np.ndarray, x: np.ndarray, t: float, out: np.ndarray) -> None:
-        # pack q from (u, x, t), project q - Lambda/rho and pack the result into out
-        q[:lead] = u.view(np.float64)[bins]
-        np.conjugate(x, out=q[lead:-1].view(complex))
-        q[-1] = t
-        block_flat[index] = q - w[h:]
-        _psd_project(block, out=proj)
-        out[:] = proj_flat[index]
-
-    x = y.copy()
+    x = y  # the atomic norm's x stays fixed; denoising updates it every iteration
     if warm is not None and warm.w_state is not None:
         if len(warm.w_state) != 2 * h:
             raise ValueError(
@@ -255,14 +247,9 @@ def _admm(
         w[:] = warm.w_state
         rho = warm.rho_state
     else:
-        # autocorrelation-scaled Toeplitz start keeps the first projections tame;
-        # the leading part of the packed [[y y^H, 0], [0, 0]] is y y^H's lower triangle
-        padded = np.append(y, 0.0)
-        outer = np.outer(padded, np.conj(padded)).reshape(-1).view(np.float64)[index[:lead]]
-        u = np.bincount(bins, weights=outer, minlength=2 * n).view(complex) / denom
-        u[0] = np.real(u[0])
-        w[h:] = 0.0
-        project(u, x, float(np.linalg.norm(y)), out=w[:h])
+        # the zero state; a start from the data's autocorrelation took more
+        # iterations (BENCH_26.json)
+        w[:] = 0.0
         rho = _RHO
 
     stored = -1  # differences stored since the memory restarted; -1 forces a restart
@@ -277,7 +264,13 @@ def _admm(
         # the trace, summed as a complex array in np.trace's order
         u[0] = (s[diag].astype(complex).sum().real - tau_y / (2.0 * rho)) / n
 
-        project(u, x, t, out=g[:h])
+        # pack q from (u, x, t), project q - Lambda/rho and pack the result into g
+        q[:lead] = u.view(np.float64)[bins]
+        np.conjugate(x, out=q[lead:-1].view(complex))
+        q[-1] = t
+        block_flat[index] = q - w[h:]
+        _psd_project(block, out=proj)
+        g[:h] = proj_flat[index]
         np.subtract(g[:h], q, out=g[h:])
         g[h:] += w[h:]
         np.subtract(g, w, out=f)
@@ -418,11 +411,13 @@ def locate_peaks(solution: DenoisedSolution) -> list[float]:
     """Frequencies of the atoms in the Vandermonde decomposition of T(u).
 
     The rank r of T(u) is the number of atoms, capped at n - 1 (a solve
-    stopped short of the optimum, or the optimum for pure noise at a weak
-    tau, leaves T(u) with full rank).  The eigenvectors U of its r largest
-    eigenvalues span the atoms a(f_k), and a shift by one sample multiplies
-    each atom by exp(2 pi i f_k), so the eigenvalues of the least-squares
-    rotation U[:-1]^+ U[1:] sit at the atoms' frequencies (ESPRIT).  Returns
+    stopped short of the optimum can leave T(u) with full rank or
+    indefinite, and the optimum for pure noise at a weak tau with full
+    rank); negative eigenvalues count as no atom.  The eigenvectors U of
+    its r largest eigenvalues span the atoms a(f_k), and a shift by one
+    sample multiplies each atom by exp(2 pi i f_k), so the eigenvalues of
+    the least-squares rotation U[:-1]^+ U[1:] sit at the atoms' frequencies
+    (ESPRIT).  Returns
     the distinct frequencies in [0, 1), sorted; an empty list is a valid
     outcome (over-regularized or pure noise).
     """

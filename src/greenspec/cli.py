@@ -51,11 +51,11 @@ def _load_config(path: str | None) -> pipeline.ExperimentConfig:
 
 
 @contextmanager
-def _bad_config(path: str | None):
+def _bad_config(path: str | None, errors=(TypeError, ValueError)):
     """Report a config the block rejects as a usage error, not a numeric failure."""
     try:
         yield
-    except (TypeError, ValueError) as exc:
+    except errors as exc:
         raise _UsageError(f"bad config {path or '(defaults)'}: {exc}") from exc
 
 
@@ -190,7 +190,10 @@ def cmd_sweep(args) -> int:
     seeds = args.seeds or [config.signal.seed]
     with _bad_config(args.config):  # before any cell runs, so a failure writes nothing
         meta = {"theory_threshold_t_max": pipeline.theory_threshold_t_max(config)}
-    cells = pipeline.run_sweep(config, args.t_max, seeds, methods=methods, variants=variants)
+    # run_sweep records each cell's numeric failure, so a ValueError it raises
+    # rejects the config before any cell runs
+    with _bad_config(args.config, ValueError):
+        cells = pipeline.run_sweep(config, args.t_max, seeds, methods=methods, variants=variants)
     os.makedirs(args.out, exist_ok=True)
     csv_path = os.path.join(args.out, "sweep.csv")
     with open(csv_path, "w") as fh:
@@ -296,8 +299,8 @@ def main(argv: list[str] | None = None) -> int:
     except _IoError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (FloatingPointError, np.linalg.LinAlgError, ValueError) as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
+    except (FloatingPointError, MemoryError, np.linalg.LinAlgError, ValueError) as exc:
+        print(f"numeric failure: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_NUMERIC
 
 

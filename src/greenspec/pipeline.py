@@ -173,6 +173,8 @@ def resolve_grid(config: ExperimentConfig, rmap: RescaleMap) -> SamplingGrid:
         n = int(math.floor((sig.t_max - sig.t0) * rmap.omega_max)) + 1
     else:
         raise ValueError("signal config needs t_max, n, or both")
+    if n > np.iinfo(np.intp).max:
+        raise ValueError(f"the grid needs {n} samples, more than an array can hold")
     return SamplingGrid(t0=sig.t0, n=n, dt=1.0 / rmap.omega_max)
 
 
@@ -371,8 +373,9 @@ def theory_threshold_t_max(config: ExperimentConfig) -> float:
     """Smallest t_max for which the sample-count bound n >= 2.5/gap holds.
 
     Uses the true minimal wraparound gap of the oracle spectrum in canonical
-    units together with the grid rule n = floor(t_max omega_max) + 1.  The
-    signal config needs no extent.
+    units together with the grid rule n = floor(span omega_max) + 1, where a
+    sweep's window spans t_max - t0, or 2 t_max when t0 < 0 (two-sided).
+    The signal config needs no extent.
     """
     rmap = resolve_rescale_map(config)
     truth = oracle_spectrum(config)
@@ -382,8 +385,9 @@ def theory_threshold_t_max(config: ExperimentConfig) -> float:
     gaps = [b - a for a, b in zip(freqs, freqs[1:])]
     gaps.append(1.0 - (freqs[-1] - freqs[0]))
     delta_f = min(gaps)
-    n_needed = math.ceil(2.5 / delta_f)
-    return (n_needed - 1) / rmap.omega_max
+    span = (math.ceil(2.5 / delta_f) - 1) / rmap.omega_max
+    t0 = config.signal.t0
+    return span / 2.0 if t0 < 0 else t0 + span
 
 
 VARIANTS = {
@@ -451,12 +455,20 @@ def run_sweep(
     not depend on which cells ran before it.  A named variant overrides the
     configured evolver and shots as ``VARIANTS`` lists, and a name not in
     ``VARIANTS`` is a ValueError; without ``variants`` the config runs as
-    given, labelled by the variant it matches.  Numeric failures
-    (ValueError, ArithmeticError, LinAlgError) are recorded per cell and the
-    sweep continues; any other exception propagates.
+    given, labelled by the variant it matches.  A two-sided window (t0 < 0)
+    slides to [-t_max, t_max], so a config that gives t_max must give
+    t0 = -t_max, or the sweep raises ValueError before any cell runs.
+    Numeric failures (ValueError, ArithmeticError, LinAlgError) are recorded
+    per cell and the sweep continues; any other exception propagates.
     """
     if not t_max_list or not seeds:
         raise ValueError("t_max_list and seeds must be non-empty")
+    sig = config.signal
+    if sig.t0 < 0 and sig.t_max is not None and sig.t0 != -sig.t_max:
+        raise ValueError(
+            f"a sweep samples two-sided windows [-t_max, t_max], so t0 must be "
+            f"-t_max, got t0={sig.t0}, t_max={sig.t_max}"
+        )
     if variants is None:
         runs = [(_variant_name(config), config)]
     else:

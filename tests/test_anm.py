@@ -532,18 +532,30 @@ class TestLocatePeaks:
         assert counts == [2, 2]
 
     def test_full_rank_toeplitz_of_capped_solve(self):
+        # a solve stopped short of the optimum can leave T(u) full rank or
+        # indefinite.  Three iterations from the zero state leave it
+        # indefinite; the samples' biased autocorrelation, put in its place, is
+        # a u whose T(u) is positive definite for any nonzero data
         n = 8
         rng = np.random.default_rng(0)
         samples = atoms(n, [0.2, 0.5]) @ np.array([1.0, 0.7]) + 0.05 * random_complex(rng, n)
         y = TimeSignal(SamplingGrid(0.0, n, 1.0), samples, CANONICAL)
-        sol = atomic_denoise(y, AnmConfig(tau=0.3, max_iters=3))
-        assert not sol.converged
-        eig = np.linalg.eigvalsh(toeplitz(sol.toeplitz_vec, np.conj(sol.toeplitz_vec)))
-        assert eig[0] > 1e-8 * eig[-1]  # no eigenvalue is cut: rank n
-        peaks = locate_peaks(sol)
-        assert 0 < len(peaks) <= n - 1
-        assert len(set(peaks)) == len(peaks)
-        assert all(0.0 <= f < 1.0 for f in peaks)
+        capped = atomic_denoise(y, AnmConfig(tau=0.3, max_iters=3))
+        assert not capped.converged
+        autocorr = np.array([samples[k:] @ np.conj(samples[: n - k]) for k in range(n)]) / n
+        full = replace(capped, toeplitz_vec=autocorr)
+        full_eig, capped_eig = (
+            np.linalg.eigvalsh(toeplitz(sol.toeplitz_vec, np.conj(sol.toeplitz_vec)))
+            for sol in (full, capped)
+        )
+        assert full_eig[0] > 1e-8 * full_eig[-1]  # rank n
+        assert capped_eig[0] < 0.0 < capped_eig[-1]  # indefinite
+        for sol in (full, capped):
+            peaks = locate_peaks(sol)
+            assert len(peaks) <= n - 1
+            assert len(set(peaks)) == len(peaks)
+            assert all(0.0 <= f < 1.0 for f in peaks)
+        assert len(locate_peaks(full)) > 0
 
     def test_full_rank_toeplitz_of_converged_solve(self):
         # pure noise at a weak tau: the optimal T(u) itself has rank n, and the

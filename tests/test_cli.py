@@ -197,6 +197,28 @@ class TestSimulateCommand:
         assert "bad config" in capsys.readouterr().err
         assert os.listdir(tmp_path) == ["cfg.json"]
 
+    def test_unallocatable_grid_is_usage_error(self, tmp_path, monkeypatch, capsys):
+        # U = 1e100 makes the spacing so fine that t_max = 0.3 asks for about
+        # 6.4e98 samples, more than any array can hold
+        monkeypatch.chdir(tmp_path)  # the default output directory
+        cfg = write_config(
+            tmp_path / "cfg.json", model={"u": 1e100, "v": 0.7}, signal={"t_max": 0.3}
+        )
+        assert main(["simulate", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert "bad config" in err and "samples" in err
+        assert os.listdir(tmp_path) == ["cfg.json"]
+
+    def test_memory_error_is_numeric_failure(self, tmp_path, monkeypatch, capsys):
+        def exhausted(config):
+            raise MemoryError
+
+        monkeypatch.setattr(pipeline, "simulate_signal", exhausted)
+        cfg = write_config(tmp_path / "cfg.json")
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
+        assert "numeric failure: MemoryError" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_missing_config_is_io_error(self, tmp_path):
         assert main(["simulate", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path)]) == 2
 
@@ -472,6 +494,18 @@ class TestSweepCommand:
         args = ["sweep", "--config", cfg, "--t-max", "0.27", "--method", "dft", "--out", str(out)]
         assert main(args) == 1
         assert "bad config" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_asymmetric_two_sided_window_is_usage_error(self, tmp_path, capsys):
+        # simulate samples [-0.2, 0.4]; a sweep's two-sided cells would sample
+        # [-0.4, 0.4], so the sweep rejects the config before any cell runs
+        cfg = write_config(tmp_path / "cfg.json", signal={"t0": -0.2, "t_max": 0.4, "n": 31})
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "s"), "--quiet"]) == 0
+        out = tmp_path / "t"
+        args = ["sweep", "--config", cfg, "--t-max", "0.4", "--method", "dft", "--out", str(out)]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert "bad config" in err and "t0 must be -t_max" in err
         assert not out.exists()
 
     def test_variant_flag(self, tmp_path):

@@ -452,6 +452,12 @@ class TestSweep:
         (named,) = run_sweep(cfg, [0.4], [0], methods=("dft",), variants=("trotter2_shots",))
         assert named.epsilon != expected
 
+    def test_asymmetric_two_sided_window_rejected(self):
+        # a two-sided cell samples [-t_max, t_max], not the configured [-0.2, 0.4]
+        cfg = ExperimentConfig(signal=SignalConfig(evolver="exact", t0=-0.2, t_max=0.4, n=31))
+        with pytest.raises(ValueError, match="t0 must be -t_max"):
+            run_sweep(cfg, [0.4], [0], methods=("dft",))
+
     def test_unknown_variant_rejected(self):
         cfg = ExperimentConfig(signal=SignalConfig(t_max=0.4, n=10))
         with pytest.raises(ValueError, match="unknown variant.*trotter2_shot'.*known"):
@@ -479,6 +485,18 @@ class TestTheoryThreshold:
         cfg = ExperimentConfig(signal=SignalConfig(t_max=0.27, n=24))
         thr = theory_threshold_t_max(cfg)
         assert thr == pytest.approx(6.3, abs=0.1)
+
+    @pytest.mark.parametrize("t0", [0.0, 0.1, -0.1], ids=["one-sided", "offset", "two-sided"])
+    def test_sweep_cells_cross_the_bound_at_the_threshold(self, t0):
+        # the sweep cell at 1.01 times the returned window holds the samples
+        # n >= 2.5/gap asks for, and the one at 0.99 times holds fewer
+        cfg = ExperimentConfig(signal=SignalConfig(evolver="exact", t0=t0))
+        rmap = resolve_rescale_map(cfg)
+        freqs = sorted(rmap.frequency_to_canonical(p.frequency) for p in oracle_spectrum(cfg).poles)
+        gap = min(np.diff([*freqs, freqs[0] + 1.0]))
+        thr = theory_threshold_t_max(cfg)
+        above, below = run_sweep(cfg, [1.01 * thr, 0.99 * thr], [0], methods=("dft",))
+        assert above.n >= 2.5 / gap > below.n
 
     def test_threshold_far_above_operating_point(self):
         cfg = ExperimentConfig(signal=SignalConfig(t_max=0.27, n=24))
