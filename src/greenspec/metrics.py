@@ -13,11 +13,15 @@ contributes its own magnitude.  The functional is zero exactly for a perfect
 full matching and invariant under joint amplitude rescaling.
 
 Pairs farther apart than a quarter of the joint frequency span are gated
-out, and the gate acts inside the assignment: an out-of-gate pair costs more
-than all in-gate pairs together, so the assignment keeps as many in-gate
-pairs as it can and only then minimizes their total distance.  A tie in
-total distance between a pairing that the gate cuts and one that it keeps
-whole is therefore not settled by rounding.
+out, and the gate acts inside the assignment: it keeps as many in-gate pairs
+as it can and only then minimizes their total distance.  The assignment
+runs on the sorted frequencies and pairs them in order.  That is exact,
+because |w - w_hat| on a line is a Monge cost: two crossing pairs, once
+uncrossed, have a sum no larger and neither distance larger than the longer
+crossed one, so uncrossing keeps every pair in the gate and never costs
+more.  A tie in total distance is settled by frequency order, not by
+rounding: of two estimates on the same side of two true poles, the lower
+goes to the lower pole.
 """
 
 from __future__ import annotations
@@ -25,7 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .spectrum import LineSpectrum
 
@@ -48,12 +51,37 @@ class MatchReport:
         }
 
 
+def _ordered_pairs(wt: np.ndarray, we: np.ndarray, max_distance: float):
+    """Order-preserving pairs of true and estimated frequencies: the most
+    pairs within max_distance, then the least total distance, then the pairs
+    that come first in frequency order.  Returns (truth index, estimate
+    index) pairs sorted by truth index.
+    """
+    ot = np.argsort(wt, kind="stable")
+    oe = np.argsort(we, kind="stable")
+    a, b = wt[ot].tolist(), we[oe].tolist()
+    # best[i][j] = (-pairs, distance, pairs) over the first i true and j
+    # estimated frequencies in sorted order, compared as a tuple
+    best = [[(0, 0.0, ())] * (len(b) + 1) for _ in range(len(a) + 1)]
+    for i, ai in enumerate(a, 1):
+        for j, bj in enumerate(b, 1):
+            step = [best[i - 1][j], best[i][j - 1]]
+            d = abs(ai - bj)
+            if d <= max_distance:
+                count, dist, pairs = best[i - 1][j - 1]
+                step.append((count - 1, dist + d, pairs + ((i - 1, j - 1),)))
+            best[i][j] = min(step)
+    return tuple(sorted((int(ot[i]), int(oe[j])) for i, j in best[-1][-1][2]))
+
+
 def match_poles(truth: LineSpectrum, estimate: LineSpectrum) -> MatchReport:
     """Minimum-cost assignment of estimated poles to true poles.
 
-    Cost is |w_l - w_hat_m|; pairs farther apart than a quarter of the joint
-    frequency span cost more than every in-gate pair together, and any such
-    pair the assignment still makes is rejected to the unmatched lists.  An
+    Cost is |w_l - w_hat_m|, and pairs farther apart than a quarter of the
+    joint frequency span are not made.  The assignment pairs the sorted
+    frequencies in order, keeping the most in-gate pairs and then the least
+    total distance; it is exact for distances on a line, and it settles a
+    distance tie by frequency order.  Pairs come sorted by truth index.  An
     empty truth has no error to score and raises ValueError.
     """
     if not truth.poles:
@@ -64,11 +92,7 @@ def match_poles(truth: LineSpectrum, estimate: LineSpectrum) -> MatchReport:
     we = estimate.frequencies()
     allfreq = np.concatenate([wt, we])
     span = float(allfreq.max() - allfreq.min())
-    max_distance = np.inf if span == 0.0 else span / 4.0
-    cost = np.abs(wt[:, None] - we[None, :])
-    in_gate = cost <= max_distance
-    rows, cols = linear_sum_assignment(np.where(in_gate, cost, 1.0 + cost[in_gate].sum()))
-    pairs = tuple((int(r), int(c)) for r, c in zip(rows, cols) if in_gate[r, c])
+    pairs = _ordered_pairs(wt, we, np.inf if span == 0.0 else span / 4.0)
     unmatched_true = tuple(sorted(set(range(len(wt))) - {l for l, _ in pairs}))
     unmatched_est = tuple(sorted(set(range(len(we))) - {m for _, m in pairs}))
     # summed as pairs, unmatched true poles, unmatched estimates, each by index:

@@ -1,6 +1,7 @@
 """Independent reference computations shared by the test suite."""
 
 import numpy as np
+from scipy.optimize import linear_sum_assignment
 
 from greenspec.dft import dirichlet_kernel
 from greenspec.spectrum import _golden_min
@@ -57,3 +58,20 @@ def golden_peak_fit(residual, k_max, n, total):
     span = 2.0 / (32.0 * total)
     f_hat = _golden_min(misfit, best - span, best + span, 60)
     return windowed_misfit(residual, k_max, n, total, f_hat)[1], f_hat % 1.0
+
+
+def gated_assignment_oracle(wt, we):
+    """Pole pairs from a general assignment solver on the gated cost matrix.
+
+    Pairs farther apart than a quarter of the joint frequency span cost more
+    than all in-gate pairs together, so the assignment keeps the most in-gate
+    pairs and then the least total distance; the out-of-gate pairs it still
+    makes are dropped.  Returns (truth index, estimate index) pairs.
+    """
+    allfreq = np.concatenate([wt, we])
+    span = float(allfreq.max() - allfreq.min())
+    max_distance = np.inf if span == 0.0 else span / 4.0
+    cost = np.abs(wt[:, None] - we[None, :])
+    in_gate = cost <= max_distance
+    rows, cols = linear_sum_assignment(np.where(in_gate, cost, 1.0 + cost[in_gate].sum()))
+    return tuple((int(r), int(c)) for r, c in zip(rows, cols) if in_gate[r, c])

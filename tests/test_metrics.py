@@ -1,6 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from _oracles import gated_assignment_oracle
 
+import greenspec
 from greenspec.metrics import match_poles
 from greenspec.spectrum import PHYSICAL, LineSpectrum, Pole
 
@@ -13,6 +20,16 @@ def spec(*pairs):
 TRUTH = spec((0.525, 0.548), (0.525, -0.548), (0.475, 3.042), (0.475, -3.042))
 EST_ANM = spec((0.524, 0.562), (0.524, -0.562), (0.475, 3.025), (0.475, -3.025))
 EST_DFT = spec((0.528, 0.265), (0.528, -0.265), (0.460, 2.836), (0.460, -2.836))
+# both estimates at 0.8 and 0.9 lie below the true poles at 1.0 and 1.2, in
+# the gate either way, and both pairings sum to the same double (0.5 - 2^-53)
+SAME_SIDE_TRUTH = spec((1.0, 1.0), (0.6, 1.2), (0.8, 3.0))
+SAME_SIDE_EST = spec((0.7, 0.8), (0.9, 0.9), (0.8, 3.05))
+
+
+def in_gate_score(pairs, truth, est):
+    """(number of pairs, their total frequency distance)."""
+    wt, we = truth.frequencies(), est.frequencies()
+    return len(pairs), sum(abs(wt[l] - we[m]) for l, m in pairs)
 
 
 class TestMatchPoles:
@@ -23,14 +40,50 @@ class TestMatchPoles:
         assert report.unmatched_est == ()
         assert report.epsilon == 0.0
 
-    def test_permutation_invariant(self):
-        shuffled = LineSpectrum(tuple(reversed(EST_ANM.poles)), PHYSICAL)
-        a = match_poles(TRUTH, EST_ANM)
-        b = match_poles(TRUTH, shuffled)
-        assert a.epsilon == pytest.approx(b.epsilon, rel=1e-12)
-        pairs_a = {(l, EST_ANM.poles[m].frequency) for l, m in a.pairs}
-        pairs_b = {(l, shuffled.poles[m].frequency) for l, m in b.pairs}
+    @pytest.mark.parametrize(
+        "truth, est", [(TRUTH, EST_ANM), (SAME_SIDE_TRUTH, SAME_SIDE_EST)], ids=["anm", "same_side"]
+    )
+    def test_permutation_invariant(self, truth, est):
+        shuffled = LineSpectrum(tuple(reversed(est.poles)), PHYSICAL)
+        a = match_poles(truth, est)
+        b = match_poles(truth, shuffled)
+        assert a.epsilon == b.epsilon
+        pairs_a = [(l, est.poles[m].frequency) for l, m in a.pairs]
+        pairs_b = [(l, shuffled.poles[m].frequency) for l, m in b.pairs]
         assert pairs_a == pairs_b
+
+    def test_distance_tie_keeps_frequency_order(self):
+        # the crossed pairing (1.0 with 0.9, 1.2 with 0.8) costs the same
+        # distance and would score eps (0.2 + 0.34 + 0.04) / 6.52; a general
+        # assignment solver picks it here by rounding
+        report = match_poles(SAME_SIDE_TRUTH, SAME_SIDE_EST)
+        assert report.pairs == ((0, 0), (1, 1), (2, 2))
+        assert report.epsilon == pytest.approx((0.5 + 0.48 + 0.04) / 6.52, rel=1e-12)
+
+    def test_agrees_with_general_assignment(self):
+        # the order-preserving pairing must keep as many in-gate pairs as the
+        # gated cost matrix's optimal assignment, at the same total distance;
+        # the pairs themselves may differ where two pairings tie
+        rng = np.random.default_rng(27)
+        cut = 0
+        for _ in range(3000):
+            k, m = int(rng.integers(1, 7)), int(rng.integers(0, 12))
+            wt = rng.uniform(-4.0, 4.0, k)
+            if rng.random() < 0.5:
+                we = rng.uniform(-4.0, 4.0, m)
+            else:
+                near = wt[rng.integers(0, k, m)] + rng.normal(0.0, 0.5, m)
+                we = np.where(rng.random(m) < 0.7, near, rng.uniform(-6.0, 6.0, m))
+            truth = spec(*zip(np.ones(k), wt))
+            est = spec(*zip(np.ones(m), we))
+            report = match_poles(truth, est)
+            oracle = gated_assignment_oracle(wt, we)
+            count, dist = in_gate_score(report.pairs, truth, est)
+            assert count == len(oracle)
+            assert dist == pytest.approx(in_gate_score(oracle, truth, est)[1], rel=1e-12)
+            cut += count < min(k, m)
+        # the gate decided a good share of the instances
+        assert cut > 300
 
     def test_extra_estimate_goes_unmatched(self):
         truth = spec((1.0, 0.5), (1.0, 2.5))
@@ -71,6 +124,16 @@ class TestMatchPoles:
         assert report.unmatched_true == (2,)
         assert report.unmatched_est == (0,)
         assert report.epsilon == pytest.approx(0.3638, abs=1e-4)
+
+    def test_import_leaves_scipy_optimize_unloaded(self):
+        # scipy.optimize costs about 20 MB and a quarter second at start-up,
+        # so neither the package nor its command line may load it
+        src = str(Path(greenspec.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path}
+        code = "import sys, greenspec, greenspec.cli; sys.exit('scipy.optimize' in sys.modules)"
+        result = subprocess.run([sys.executable, "-c", code], env=env, timeout=120)
+        assert result.returncode == 0
 
     def test_empty_estimate(self):
         report = match_poles(TRUTH, LineSpectrum((), PHYSICAL))
