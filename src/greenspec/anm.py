@@ -124,7 +124,7 @@ def select_tau(sigma: float, n: int) -> float:
 
 @lru_cache(maxsize=32)
 def _packed_index(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    # the (n+1)^2 reals of a Hermitian (n+1) x (n+1) block, addressed in its
+    # _admm's (n+1)^2 reals of a Hermitian (n+1) x (n+1) block, addressed in its
     # flattened float64 view: its lower triangle row by row, real and imaginary
     # parts, less the imaginary part of the diagonal.  The leading n x n part
     # fills the first n^2, then come the 2n of the border row and the corner.
@@ -171,7 +171,7 @@ def _psd_project(s: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 
 # a solve only counts as converged when the dual polynomial respects its unit
-# bound on the grid of _cert_points; residual-small but certificate-violating
+# bound on the grid of _dual_modulus; residual-small but certificate-violating
 # points are still short of the optimum on ill-conditioned instances
 _CERT_SLACK = 5e-4
 
@@ -282,7 +282,7 @@ def _admm(
             if fix_x:
                 converged = True
                 break
-            q_max = float(np.max(np.abs(np.fft.fft((y - x) / tau_y, _cert_points(n)))))
+            q_max = float(np.max(_dual_modulus((y - x) / tau_y)))
             if q_max <= 1.0 + _CERT_SLACK:
                 converged = True
                 break
@@ -390,13 +390,13 @@ def atomic_norm(x: TimeSignal) -> float:
     return sol.atomic_norm_value
 
 
-def _cert_points(n: int) -> int:
-    return max(4096, 64 * n)
+def _dual_modulus(dual: np.ndarray) -> np.ndarray:
+    return np.abs(np.fft.fft(dual, max(4096, 64 * len(dual))))
 
 
 def dual_polynomial_grid(solution: DenoisedSolution) -> np.ndarray:
     """|Q| on the certificate grid, k/m for m = max(4096, 64 n) points, evaluated by FFT."""
-    return np.abs(np.fft.fft(solution.dual, _cert_points(len(solution.dual))))
+    return _dual_modulus(solution.dual)
 
 
 # eigenvalues of T(u) at or below this share (or the solve's larger residual,
@@ -423,11 +423,10 @@ def locate_peaks(solution: DenoisedSolution) -> list[float]:
     """
     u = solution.toeplitz_vec
     n = len(u)
-    # the lower triangle of T(u), gathered through the solver's bins; eigh reads no more
-    index, _, bins, _ = _packed_index(n)
-    block = np.zeros((n + 1, n + 1), dtype=complex)
-    block.reshape(-1).view(np.float64)[index[: n * n]] = u.view(np.float64)[bins]
-    w, v = np.linalg.eigh(block[:n, :n])
+    j = np.arange(n)
+    # T(u)[i, j] = u[i - j] for i >= j; eigh reads only that triangle and the
+    # real part of the diagonal, not the wrapped u[i - j + n] above it
+    w, v = np.linalg.eigh(u[j[:, None] - j])
     y_norm = float(np.linalg.norm(solution.x_hat + solution.tau * solution.dual))
     cut = max(_RANK_CUT, solution.primal_residual, solution.dual_residual)
     r = min(n - 1, int(np.count_nonzero(w > cut * max(w[-1], math.sqrt(n) * y_norm))))

@@ -238,7 +238,8 @@ def anm_reconstruct_canonical(
     This is the one place the tau policies are resolved into the numbers
     :func:`anm.atomic_denoise` needs, and the one place that decides which
     solve is reported.  Every policy becomes a list of candidate weights
-    run through the same descend, select and refine loop.  A numeric
+    run through the same descend, select and refine loop, whose solves are
+    the rungs of one list kept in solve order.  A numeric
     ``cfg.tau`` is its own single candidate, and "auto" is
     :func:`anm.select_tau` of the noise estimate, floored at
     TAU_FLOOR_REL * ||y||.  "ladder" and "path" scan a geometric grid of
@@ -266,16 +267,15 @@ def anm_reconstruct_canonical(
     else:
         candidates = [cfg.tau]
 
-    # memo of visited weights: tau -> (misfit, fitted poles, solve), in solve order
-    fits: dict[float, tuple[float, tuple[Pole, ...], anm.DenoisedSolution]] = {}
+    # the visited weights as rungs (tau, misfit, fitted poles, solve), in solve
+    # order; a rung's position in the list is its key
+    rungs: list[tuple[float, float, tuple[Pole, ...], anm.DenoisedSolution]] = []
 
-    def evaluate(tau: float) -> float:
-        if tau not in fits:
-            # warm start from the previous solve, the newest memo entry
-            warm = next(reversed(fits.values()))[2] if fits else None
-            sol = anm.atomic_denoise(y, replace(cfg, tau=tau), warm=warm)
-            fits[tau] = (*_peaks_and_fit(y, sol), sol)
-        return fits[tau][0]
+    def solve(tau: float) -> float:
+        warm = rungs[-1][3] if rungs else None
+        sol = anm.atomic_denoise(y, replace(cfg, tau=tau), warm=warm)
+        rungs.append((tau, *_peaks_and_fit(y, sol), sol))
+        return rungs[-1][1]
 
     # descend the path: strongly regularized solves are cheap and make good
     # warm starts for the weakly regularized ones; stop once the fit turns
@@ -286,32 +286,29 @@ def anm_reconstruct_canonical(
     noise_floor = 1.1 * sigma_est * math.sqrt(y.grid.n)
     worse = 0
     for tau in sorted(candidates, reverse=True):
-        resid = evaluate(tau)
-        best_so_far = min(fit[0] for fit in fits.values())
-        worse = worse + 1 if resid > 1.5 * best_so_far else 0
+        resid = solve(tau)
+        worse = worse + 1 if resid > 1.5 * min(rung[1] for rung in rungs) else 0
         if worse >= 2:
             break
-        if cfg.tau == "ladder" and fits[tau][2].converged and 1.1 * resid <= noise_floor:
+        if cfg.tau == "ladder" and rungs[-1][3].converged and 1.1 * resid <= noise_floor:
             break
 
-    def select(taus) -> float:
+    def select() -> tuple[float, float, tuple[Pole, ...], anm.DenoisedSolution]:
         # converged solves first; the rest only count when none converged.
         # Discrepancy rule: any fit that reaches the noise floor is as good
         # as one below it, so among those keep the strongest regularization;
         # without noise this degenerates to (nearly) the best-fit candidate
-        taus = [t for t in taus if fits[t][2].converged] or list(taus)
-        best = min(fits[t][0] for t in taus)
-        floor = max(1.1 * best, noise_floor)
-        return max(t for t in taus if fits[t][0] <= floor)
+        pool = [rung for rung in rungs if rung[3].converged] or rungs
+        floor = max(1.1 * min(rung[1] for rung in pool), noise_floor)
+        return max((rung for rung in pool if rung[1] <= floor), key=lambda rung: rung[0])
 
-    tau_best = select(fits)
     if scan and cfg.tau == "path":
-        below = max([t for t in fits if t < tau_best], default=tau_best / 2.0)
-        above = min([t for t in fits if t > tau_best], default=tau_best * 2.0)
-        # golden section in log tau; every visited tau lands in the memo
-        _golden_min(lambda x: evaluate(math.exp(x)), math.log(below), math.log(above), 12)
-        tau_best = select(fits)
-    _, poles, sol = fits[tau_best]
+        tau_best = select()[0]
+        below = max([rung[0] for rung in rungs if rung[0] < tau_best], default=tau_best / 2.0)
+        above = min([rung[0] for rung in rungs if rung[0] > tau_best], default=tau_best * 2.0)
+        # golden section in log tau between the visited weights next to the choice
+        _golden_min(lambda x: solve(math.exp(x)), math.log(below), math.log(above), 12)
+    _, _, poles, sol = select()
     return LineSpectrum(poles, CANONICAL), sol
 
 

@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import block_diag
 
 from .spectrum import LineSpectrum, Pole, SamplingGrid, TimeSignal
 
@@ -147,7 +146,10 @@ def _ps(letters: str) -> PauliString:
 
 # X or Y on site qubit 1, controlled on the ancilla (MSB): C = diag(I_4, P (x) I),
 # kept as C^T so that psi @ C^T applies C to each row of a batch of states
-_CONTROLLED_SITE1_T = {c: block_diag(np.eye(4), _ps(c + "I").matrix()).T for c in "XY"}
+_CONTROLLED_SITE1_T = {
+    c: np.block([[np.eye(4), np.zeros((4, 4))], [np.zeros((4, 4)), _ps(c + "I").matrix()]]).T
+    for c in "XY"
+}
 
 
 def build_hamiltonians(params: ModelParams) -> tuple[PauliHamiltonian, PauliHamiltonian, PauliHamiltonian]:

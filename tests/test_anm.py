@@ -476,6 +476,19 @@ class TestLocatePeaks:
         peaks = locate_peaks(sol)
         assert len(peaks) == 1
 
+    def test_reads_only_the_lower_triangle_and_real_diagonal(self):
+        # T(u) is gathered as u[i - j] over the whole square, so its upper
+        # triangle holds wrapped entries of u; the atoms must come from the
+        # lower triangle and the real diagonal alone, which an imaginary part
+        # of u[0], one no Hermitian T(u) can carry, must not move
+        y = make_signal(16, [0.2, 0.55], [1.0, 0.6])
+        sol = atomic_denoise(y, AnmConfig(tau=0.05))
+        peaks = locate_peaks(sol)
+        assert len(peaks) == 2
+        u = sol.toeplitz_vec.copy()
+        u[0] += 0.5j * abs(u[0])
+        assert locate_peaks(replace(sol, toeplitz_vec=u)) == peaks
+
     @pytest.mark.filterwarnings("ignore:n = .*separation guarantees")
     def test_stable_across_solver_tolerances(self, monkeypatch):
         # criterion 04 configuration at t_max = 0.1 (n = 3) and its chosen tau:

@@ -304,15 +304,25 @@ class TestLadderNoiseStop:
         return sorted(taus, reverse=True)
 
     @staticmethod
-    def spy_taus(monkeypatch):
-        taus, denoise = [], pipeline.anm.atomic_denoise
+    def spy_solves(monkeypatch):
+        # every solve as (tau, warm start, returned solve), in call order
+        calls, denoise = [], pipeline.anm.atomic_denoise
 
         def spy(y, cfg, warm=None):
-            taus.append(cfg.tau)
-            return denoise(y, cfg, warm=warm)
+            calls.append((cfg.tau, warm, denoise(y, cfg, warm=warm)))
+            return calls[-1][2]
 
         monkeypatch.setattr(pipeline.anm, "atomic_denoise", spy)
-        return taus
+        return calls
+
+    @staticmethod
+    def choose(y, sigma, solves):
+        # select's rule over the given solves: the largest tau whose misfit
+        # reaches max(1.1 best, noise floor), among the converged ones if any
+        fits = {sol.tau: pipeline._peaks_and_fit(y, sol)[0] for sol in solves}
+        pool = [sol.tau for sol in solves if sol.converged] or list(fits)
+        floor = max(1.1 * min(fits[t] for t in pool), 1.1 * sigma * math.sqrt(y.grid.n))
+        return max(t for t in pool if fits[t] <= floor)
 
     def test_stops_at_noise_floor_with_the_same_choice(self, monkeypatch):
         sigma = 0.002
@@ -320,17 +330,15 @@ class TestLadderNoiseStop:
         cfg = AnmConfig(tau="ladder")
         candidates = self.candidates(y, sigma)
         # reference: every candidate along one warm chain, then select's rule
-        fits, warm = {}, None
+        chain, warm = [], None
         for tau in candidates:
             warm = pipeline.anm.atomic_denoise(y, replace(cfg, tau=tau), warm=warm)
-            fits[tau] = (pipeline._peaks_and_fit(y, warm)[0], warm)
-        pool = [t for t in candidates if fits[t][1].converged] or candidates
-        best = min(fits[t][0] for t in pool)
-        floor = max(1.1 * best, 1.1 * sigma * math.sqrt(y.grid.n))
-        expected = fits[max(t for t in pool if fits[t][0] <= floor)][1]
+            chain.append(warm)
+        expected = chain[candidates.index(self.choose(y, sigma, chain))]
 
-        taus = self.spy_taus(monkeypatch)
+        calls = self.spy_solves(monkeypatch)
         _, sol = anm_reconstruct_canonical(y, cfg, sigma)
+        taus = [tau for tau, _, _ in calls]
         assert len(taus) < len(candidates)
         assert taus == candidates[: len(taus)]
         assert sol.tau.hex() == expected.tau.hex()
@@ -338,7 +346,7 @@ class TestLadderNoiseStop:
 
     def test_unconverged_fit_does_not_stop(self, monkeypatch):
         y = self.signal(0.002)
-        taus = self.spy_taus(monkeypatch)
+        calls = self.spy_solves(monkeypatch)
         spy = pipeline.anm.atomic_denoise
 
         def unconverged(y, cfg, warm=None):
@@ -346,15 +354,42 @@ class TestLadderNoiseStop:
 
         monkeypatch.setattr(pipeline.anm, "atomic_denoise", unconverged)
         anm_reconstruct_canonical(y, AnmConfig(tau="ladder"), 0.002)
-        assert taus == self.candidates(y, 0.002)
+        assert [tau for tau, _, _ in calls] == self.candidates(y, 0.002)
 
     @pytest.mark.parametrize("policy, sigma", [("ladder", 0.0), ("path", 0.002)])
     def test_noiseless_ladder_and_path_descend_in_full(self, monkeypatch, policy, sigma):
         y = self.signal(sigma)
         candidates = self.candidates(y, sigma)
-        taus = self.spy_taus(monkeypatch)
+        calls = self.spy_solves(monkeypatch)
         anm_reconstruct_canonical(y, AnmConfig(tau=policy), sigma)
-        assert taus[: len(candidates)] == candidates
+        assert [tau for tau, _, _ in calls[: len(candidates)]] == candidates
+
+    def test_path_refines_inside_the_chosen_bracket(self, monkeypatch):
+        sigma = 0.002
+        y = self.signal(sigma)
+        candidates = self.candidates(y, sigma)
+        calls = self.spy_solves(monkeypatch)
+        anm_reconstruct_canonical(y, AnmConfig(tau="path"), sigma)
+        descent, refine = calls[: len(candidates)], calls[len(candidates) :]
+        assert [tau for tau, _, _ in descent] == candidates
+        chosen = self.choose(y, sigma, [sol for _, _, sol in descent])
+        below = max(t for t in candidates if t < chosen)
+        above = min(t for t in candidates if t > chosen)
+        # golden section: two interior points, then one for each of its 12 steps
+        assert len(refine) == 14
+        assert all(below < tau < above for tau, _, _ in refine)
+        # every solve warm-starts from the one before it
+        assert calls[0][1] is None
+        assert all(warm is prev for (_, warm, _), (_, _, prev) in zip(calls[1:], calls))
+
+    @pytest.mark.parametrize("policy", ["auto", "ladder", "path", 0.01])
+    def test_no_weight_is_solved_twice(self, monkeypatch, policy):
+        y = self.signal(0.002)
+        calls = self.spy_solves(monkeypatch)
+        _, sol = anm_reconstruct_canonical(y, AnmConfig(tau=policy), 0.002)
+        taus = [tau for tau, _, _ in calls]
+        assert len(set(taus)) == len(taus)
+        assert any(chosen is sol for _, _, chosen in calls)
 
 
 class TestSweep:
