@@ -46,7 +46,7 @@ def _load_config(path: str | None) -> pipeline.ExperimentConfig:
         raise _IoError(f"cannot read config {path}: {exc}") from exc
     with _bad_config(path):
         config = pipeline.ExperimentConfig.from_dict(data)
-        qsim.prepare_ground_state(config.model)  # V = 0 has no ground-state angle
+        qsim.prepare_ground_state(config.model)  # V = 0 or an overflowing U^2 + (8V)^2
     return config
 
 
@@ -146,10 +146,12 @@ def cmd_reconstruct(args) -> int:
             qsim.zero_time_index(signal.grid)
         except ValueError as exc:
             raise _UsageError(str(exc)) from exc
+        reference = 1.0 if config.signal.use_sym else 2.0  # the noiseless |G(0)|
+        signal, _ = qsim.mitigate_gate_error(signal, reference=reference)
     os.makedirs(args.out, exist_ok=True)
-    methods = ("anm", "dft") if args.method == "both" else (args.method,)
+    methods = pipeline.METHODS if args.method == "both" else (args.method,)
     for method in methods:
-        out = pipeline.reconstruct(signal, config, method, mitigate=args.mitigate)
+        out = pipeline.reconstruct(signal, config, method)
         if not math.isfinite(out.epsilon):
             raise ValueError(f"{method} reconstruction produced non-finite error")
         dump_json(
@@ -185,7 +187,7 @@ def cmd_reconstruct(args) -> int:
 
 def cmd_sweep(args) -> int:
     config = _load_config(args.config)
-    methods = ("anm", "dft") if args.method == "both" else (args.method,)
+    methods = pipeline.METHODS if args.method == "both" else (args.method,)
     variants = tuple(args.variant) if args.variant else None
     seeds = args.seeds or [config.signal.seed]
     with _bad_config(args.config):  # before any cell runs, so a failure writes nothing

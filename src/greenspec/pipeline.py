@@ -50,6 +50,11 @@ TAU_PATH_LADDER = (0.003, 0.007, 0.015, 0.03, 0.06, 0.12)
 # A grid set by t_max or n alone is padded by the widest gap of this many lines.
 GAP_LINES = 4
 
+# The reconstruction methods :func:`reconstruct` runs.
+METHODS = ("anm", "dft")
+
+_SHOTS_MAX = int(np.iinfo(np.int64).max)
+
 
 @dataclass(frozen=True)
 class SignalConfig:
@@ -68,7 +73,9 @@ class SignalConfig:
         if self.t_max is not None and not self.t_max > self.t0:
             raise ValueError(f"window needs t_max > t0, got t_max={self.t_max}, t0={self.t0}")
         for key, bound, ok in (
-            ("shots", ">= 1 when given", self.shots is None or self.shots >= 1),
+            # numpy's binomial draw takes shots as a 64-bit integer
+            ("shots", f"in [1, {_SHOTS_MAX}] when given",
+             self.shots is None or 1 <= self.shots <= _SHOTS_MAX),
             ("trotter_steps", ">= 1", self.trotter_steps >= 1),
             ("seed", ">= 0", self.seed >= 0),  # numpy takes no negative seed
             ("n", ">= 2", self.n is None or self.n >= 2),
@@ -79,7 +86,7 @@ class SignalConfig:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    model: qsim.ModelParams = field(default_factory=lambda: qsim.ModelParams(4.0, 0.745))
+    model: qsim.ModelParams = field(default_factory=qsim.ModelParams)
     signal: SignalConfig = field(default_factory=SignalConfig)
     anm: anm.AnmConfig = field(default_factory=anm.AnmConfig)
 
@@ -95,7 +102,7 @@ class ExperimentConfig:
         unknown += [f"method.{name}" for name in sorted(set(methods) - {"anm"})]
         if unknown:
             raise ValueError(f"unknown config section(s) {unknown}")
-        model = _section(qsim.ModelParams, "model", data.get("model", {"u": 4.0, "v": 0.745}))
+        model = _section(qsim.ModelParams, "model", data.get("model", {}))
         signal = _section(SignalConfig, "signal", data.get("signal", {}))
         anm_cfg = _section(anm.AnmConfig, "method.anm", methods.get("anm", {}))
         return ExperimentConfig(model, signal, anm_cfg)
@@ -165,16 +172,25 @@ def _map_with_bandwidth(config: ExperimentConfig, omega_max: float, t0: float) -
     return RescaleMap(omega_a, omega_b, delta, t0)
 
 
+def _sample_count(span: float, rate: float) -> int:
+    """The grid rule n = floor(span * rate) + 1; ValueError when no array can hold n.
+
+    A span or product past the float range is inf, which no array holds either.
+    """
+    x = span * rate
+    if not x < np.iinfo(np.intp).max:
+        raise ValueError(f"the grid needs {x + 1} samples, more than an array can hold")
+    return math.floor(x) + 1
+
+
 def resolve_grid(config: ExperimentConfig, rmap: RescaleMap) -> SamplingGrid:
     sig = config.signal
     if sig.n is not None:
-        n = sig.n
+        n = _sample_count(sig.n - 1, 1)  # a given n meets the same bound
     elif sig.t_max is not None:
-        n = int(math.floor((sig.t_max - sig.t0) * rmap.omega_max)) + 1
+        n = _sample_count(sig.t_max - sig.t0, rmap.omega_max)
     else:
         raise ValueError("signal config needs t_max, n, or both")
-    if n > np.iinfo(np.intp).max:
-        raise ValueError(f"the grid needs {n} samples, more than an array can hold")
     return SamplingGrid(t0=sig.t0, n=n, dt=1.0 / rmap.omega_max)
 
 
@@ -340,16 +356,8 @@ def _project_physical(spectrum: LineSpectrum) -> LineSpectrum:
     return LineSpectrum(poles, spectrum.domain)
 
 
-def reconstruct(
-    signal: TimeSignal,
-    config: ExperimentConfig,
-    method: str,
-    mitigate: bool = False,
-) -> ReconstructionOutput:
+def reconstruct(signal: TimeSignal, config: ExperimentConfig, method: str) -> ReconstructionOutput:
     """Run one reconstruction method on a physical-domain signal and score it."""
-    if mitigate:
-        reference = 1.0 if config.signal.use_sym else 2.0
-        signal, _ = qsim.mitigate_gate_error(signal, reference=reference)
     rmap = rescale_map_for_grid(config, signal.grid)
     y = to_canonical(signal, rmap)
     truth = oracle_spectrum(config)
@@ -422,10 +430,8 @@ def _run_cell(
             # keep the configured sample density: n = floor(span * rate) + 1
             # samples spread over the whole window, so the spacing is
             # span / (n - 1), not 1 / rate
-            base_span = config.signal.t_max - config.signal.t0
-            rate = (config.signal.n - 1) / base_span
-            span = t_max - t0
-            sig = replace(sig, n=int(math.floor(span * rate)) + 1)
+            rate = (config.signal.n - 1) / (config.signal.t_max - config.signal.t0)
+            sig = replace(sig, n=_sample_count(t_max - t0, rate))
         cell_cfg = replace(config, signal=sig)
         signal = simulate_signal(cell_cfg)
         out = reconstruct(signal, cell_cfg, method)
@@ -441,7 +447,7 @@ def run_sweep(
     config: ExperimentConfig,
     t_max_list: list[float],
     seeds: list[int],
-    methods: tuple[str, ...] = ("anm", "dft"),
+    methods: tuple[str, ...] = METHODS,
     variants: tuple[str, ...] | None = None,
 ) -> list[SweepCell]:
     """Full pipeline for each (t_max, variant, method, seed) combination.
@@ -452,9 +458,10 @@ def run_sweep(
     not depend on which cells ran before it.  A named variant overrides the
     configured evolver and shots as ``VARIANTS`` lists, and a name not in
     ``VARIANTS`` is a ValueError; without ``variants`` the config runs as
-    given, labelled by the variant it matches.  A two-sided window (t0 < 0)
-    slides to [-t_max, t_max], so a config that gives t_max must give
-    t0 = -t_max, or the sweep raises ValueError before any cell runs.
+    given, labelled by the variant it matches.  A method not in ``METHODS``
+    is a ValueError too, raised before any cell runs.  A two-sided window
+    (t0 < 0) slides to [-t_max, t_max], so a config that gives t_max must
+    give t0 = -t_max, or the sweep raises ValueError before any cell runs.
     Numeric failures (ValueError, ArithmeticError, LinAlgError) are recorded
     per cell and the sweep continues; any other exception propagates.
     """
@@ -466,6 +473,9 @@ def run_sweep(
             f"a sweep samples two-sided windows [-t_max, t_max], so t0 must be "
             f"-t_max, got t0={sig.t0}, t_max={sig.t_max}"
         )
+    unknown = [method for method in methods if method not in METHODS]
+    if unknown:
+        raise ValueError(f"unknown method(s) {unknown}; known: {list(METHODS)}")
     if variants is None:
         runs = [(_variant_name(config), config)]
     else:

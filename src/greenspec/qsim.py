@@ -119,10 +119,10 @@ class StateVector:
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Impurity interaction strength U and impurity-bath hopping V."""
+    """Impurity interaction U and hopping V (either sign, not 0); by default the paper's model."""
 
-    u: float
-    v: float
+    u: float = 4.0
+    v: float = 0.745
 
 
 @dataclass(frozen=True)
@@ -191,22 +191,20 @@ def build_hamiltonians(params: ModelParams) -> tuple[PauliHamiltonian, PauliHami
 def prepare_ground_state(params: ModelParams) -> StateVector:
     """Closed-form two-qubit ground state of the ground-sector Hamiltonian.
 
-    The state is cos(theta/2) (|00> + |11>)/sqrt2 + sin(theta/2)
-    (|01> + |10>)/sqrt2 with theta = -2 arccos(1/sqrt(1 + a^2)) and
-    a = (U + sqrt(U^2 + (8V)^2)) / (8V).  Hopping V = 0 makes the angle
-    formula singular (the model decouples), so it is rejected, and so is a
-    model whose U^2 or (8V)^2 overflows a float.
+    On (|00> + |11>)/sqrt2 and (|01> + |10>)/sqrt2 the Hamiltonian is
+    [[U/4, 2V], [2V, -U/4]]; for either sign of U and V its lowest eigenvector
+    is (sin(phi/2), -cos(phi/2)) with phi = atan2(8V, U), below the +-U/4 of
+    the other two states.  V = 0 decouples the sites (a degenerate ground
+    state) and is rejected, and so is a model whose U^2 + (8V)^2 overflows.
     """
-    u, v = params.u, params.v
+    u, v = float(params.u), float(params.v)
     if v == 0:
         raise ValueError("V = 0: ground-state angle undefined (decoupled sites)")
-    try:
-        a = (u + np.sqrt(u**2 + (8.0 * v) ** 2)) / (8.0 * v)
-        theta = -2.0 * np.arccos(1.0 / np.sqrt(1.0 + a**2))
-    except OverflowError as exc:
-        raise ValueError(f"U = {u}, V = {v}: ground-state angle overflows a float") from exc
-    c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
-    amps = np.array([c, s, s, c], dtype=complex) / np.sqrt(2.0)
+    if not np.isfinite(u * u + 64.0 * v * v):
+        raise ValueError(f"U = {u}, V = {v}: U^2 + (8V)^2 overflows a float")
+    phi = np.arctan2(8.0 * v, u)
+    a, b = np.sin(phi / 2.0), np.cos(phi / 2.0)
+    amps = np.array([a, -b, -b, a], dtype=complex) / np.sqrt(2.0)
     return StateVector(amps)
 
 

@@ -209,6 +209,30 @@ class TestSimulateCommand:
         assert "bad config" in err and "samples" in err
         assert os.listdir(tmp_path) == ["cfg.json"]
 
+    @pytest.mark.parametrize(
+        "signal",
+        [{"evolver": "exact", "t_max": 1e308}, {"evolver": "exact", "t0": -1e308, "t_max": 1e308}],
+        ids=["long", "two-sided-span"],
+    )
+    def test_overflowing_window_is_usage_error(self, tmp_path, monkeypatch, capsys, signal):
+        # span * omega_max, or the span itself, overflows to inf
+        monkeypatch.chdir(tmp_path)  # the default output directory
+        cfg = write_config(tmp_path / "cfg.json", signal=signal)
+        assert main(["simulate", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert "bad config" in err and "samples" in err
+        assert os.listdir(tmp_path) == ["cfg.json"]
+
+    @pytest.mark.parametrize("command", [["simulate"], ["sweep", "--t-max", "0.3"]])
+    def test_shots_past_int64_is_usage_error(self, tmp_path, monkeypatch, capsys, command):
+        # numpy's binomial draw takes the shot count as a 64-bit integer
+        monkeypatch.chdir(tmp_path)  # the default output directory
+        cfg = write_config(tmp_path / "cfg.json", signal={"t_max": 0.3, "shots": 10**29})
+        assert main([*command, "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert "bad config" in err and "shots must be" in err
+        assert os.listdir(tmp_path) == ["cfg.json"]
+
     def test_memory_error_is_numeric_failure(self, tmp_path, monkeypatch, capsys):
         def exhausted(config):
             raise MemoryError
@@ -402,6 +426,22 @@ class TestReconstructCommand:
                      "--out", str(out_dir), "--method", "dft", "--mitigate", "--quiet"])
         assert code == 1
         assert "needs a sample at t = 0" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    def test_unusable_mitigation_scale_writes_nothing(self, tmp_path, capsys):
+        # a zero sample at t = 0 gives no gate-error scale; the signal is
+        # mitigated once, before the output directory is made
+        cfg = write_config(tmp_path / "cfg.json")
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path), "--quiet"]) == 0
+        sig = load_json(tmp_path / "signal.json")
+        sig["samples"][0] = [0.0, 0.0]
+        (tmp_path / "signal.json").write_text(json.dumps(sig))
+        capsys.readouterr()
+        out_dir = tmp_path / "out"
+        code = main(["reconstruct", str(tmp_path / "signal.json"), "--config", cfg,
+                     "--out", str(out_dir), "--method", "dft", "--mitigate", "--quiet"])
+        assert code == 3
+        assert "not usable" in capsys.readouterr().err
         assert not out_dir.exists()
 
     def test_non_object_signal_is_io_error(self, tmp_path, capsys):

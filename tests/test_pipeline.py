@@ -224,7 +224,7 @@ class TestReconstruct:
         )
         signal = simulate_signal(cfg)
         damped = TimeSignal(signal.grid, 0.8 * signal.samples, signal.domain)
-        out = reconstruct(damped, cfg, "anm", mitigate=True)
+        out = reconstruct(mitigate_gate_error(damped)[0], cfg, "anm")
         assert out.epsilon < 1e-3
 
     def test_mitigation_reads_two_sided_signal_at_time_zero(self):
@@ -236,7 +236,7 @@ class TestReconstruct:
         _, alpha = mitigate_gate_error(signal, reference=2.0)
         assert alpha == pytest.approx(1.0, abs=1e-12)
         plain = reconstruct(signal, cfg, "dft").epsilon
-        mitigated = reconstruct(signal, cfg, "dft", mitigate=True).epsilon
+        mitigated = reconstruct(mitigate_gate_error(signal, reference=2.0)[0], cfg, "dft").epsilon
         assert mitigated == pytest.approx(plain, rel=1e-8)
 
     def test_unknown_method_rejected(self):
@@ -498,6 +498,15 @@ class TestSweep:
         with pytest.raises(ValueError, match="unknown variant.*trotter2_shot'.*known"):
             run_sweep(cfg, [0.4], [0], ("dft",), ("trotter2_shot",))
 
+    def test_unknown_method_rejected_before_any_cell(self, monkeypatch):
+        def simulated(config):
+            raise AssertionError("a cell ran")
+
+        monkeypatch.setattr(pipeline, "simulate_signal", simulated)
+        cfg = ExperimentConfig(signal=SignalConfig(t_max=0.4, n=10))
+        with pytest.raises(ValueError, match="unknown method.*'amn'.*known"):
+            run_sweep(cfg, [0.4], [0], methods=("amn",))
+
     def test_programmer_errors_propagate(self, monkeypatch):
         def broken(*args, **kwargs):
             raise TypeError("not a numeric failure")
@@ -550,6 +559,17 @@ class TestConfigParsing:
         assert cfg.signal.evolver == "trotter2"
         assert cfg.signal.shots == 1000
         assert cfg.anm.tau == "ladder"
+
+    @pytest.mark.parametrize(
+        "model, expected",
+        [({"u": 2.0}, ModelParams(2.0, 0.745)), ({"v": -0.5}, ModelParams(4.0, -0.5))],
+        ids=["u-only", "v-only"],
+    )
+    def test_model_field_defaults_alone(self, model, expected):
+        # each model field defaults to the paper's model on its own
+        assert ExperimentConfig.from_dict({"model": model}).model == expected
+        default = ModelParams(4.0, 0.745)
+        assert ExperimentConfig.from_dict({}).model == ExperimentConfig().model == default
 
     def test_signal_requires_extent_to_resolve(self):
         cfg = ExperimentConfig(signal=SignalConfig(t_max=None, n=None))
@@ -619,6 +639,7 @@ class TestConfigParsing:
         "values, field",
         [
             ({"shots": 0}, "shots"),
+            ({"shots": 2**63}, "shots"),  # numpy's binomial draw takes a 64-bit count
             ({"trotter_steps": 0}, "trotter_steps"),
             ({"n": 0}, "n"),
             ({"t_max": 0.3, "n": 1}, "n"),  # an oversampled grid spaces samples span/(n - 1)

@@ -104,7 +104,7 @@ class TestGroundState:
 
     def test_zero_interaction_angle(self):
         gs = prepare_ground_state(ModelParams(0.0, 1.0))
-        # a = 1 and theta = -pi/2: amplitudes (c, s, s, c)/sqrt2
+        # phi = atan2(8, 0) = pi/2: amplitudes (sin, -cos, -cos, sin)(pi/4)/sqrt2
         c = np.cos(-np.pi / 4) / np.sqrt(2)
         s = np.sin(-np.pi / 4) / np.sqrt(2)
         np.testing.assert_allclose(gs.amplitudes, [c, s, s, c], atol=1e-12)
@@ -116,6 +116,40 @@ class TestGroundState:
     def test_zero_hopping_rejected(self):
         with pytest.raises(ValueError):
             prepare_ground_state(ModelParams(1.0, 0.0))
+
+    @pytest.mark.parametrize(
+        "u, v",
+        [
+            *((u, v) for u in (4.0, -4.0, 0.0) for v in (0.745, -0.745)),
+            (-4.0, 1e-8),
+            (4.0, 1e-160),
+        ],
+    )
+    def test_is_the_lowest_eigenvector(self, u, v):
+        # every sign of U and V, a hopping small against -U (where cancellation
+        # would leave a residual) and one whose (U/8V)^2 overflows a float
+        h = build_hamiltonians(ModelParams(u, v))[0].matrix()
+        e0 = np.linalg.eigvalsh(h)[0]
+        psi = prepare_ground_state(ModelParams(u, v)).amplitudes
+        assert abs(np.vdot(psi, h @ psi).real - e0) <= 1e-12
+        assert np.linalg.norm(h @ psi - e0 * psi) <= 1e-12
+
+    @pytest.mark.parametrize("u", [4.0, -4.0, 0.0])
+    def test_sign_of_hopping_changes_no_table_or_sample(self, u):
+        # a Z rotation on both sites maps V to -V and leaves X_1 X_1 sandwiches alone
+        times = np.linspace(-0.9, 0.9, 7)
+        tables, samples = [], []
+        for v in (0.745, -0.745):
+            params = ModelParams(u, v)
+            poles = spectral_oracle(params).poles
+            tables.append([(abs(p.amplitude), p.frequency, p.z_expect) for p in poles])
+            _, _, h_eff = build_hamiltonians(params)
+            gs = prepare_ground_state(params)
+            samples.append(
+                np.concatenate([green_sym(h_eff, gs, times), green_general(h_eff, gs, times)])
+            )
+        np.testing.assert_allclose(tables[1], tables[0], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(samples[1], samples[0], rtol=0, atol=1e-12)
 
 
 class TestEvolvers:
