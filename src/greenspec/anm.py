@@ -43,15 +43,39 @@ by one on the support, serves as the optimality certificate.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg.lapack import dposv, zheevr
+import scipy
 
 from .spectrum import TimeSignal, _wrap_distance
+
+
+def _load_flapack():
+    """scipy's f2py LAPACK extension ``_flapack``, loaded without ``scipy.linalg``.
+
+    The solver takes two routines from it, ``zheevr`` and ``dposv``.  The
+    ``scipy.linalg`` package, which re-exports the same routines, would add
+    about 160 ms and 24 MB to ``import greenspec``.  A missing extension
+    raises ImportError naming the directory searched.
+    """
+    directory = os.path.join(os.path.dirname(scipy.__file__), "linalg")
+    spec = importlib.machinery.PathFinder.find_spec("_flapack", [directory])
+    if spec is None:
+        raise ImportError(f"scipy's LAPACK extension _flapack is not in {directory}")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+_flapack = _load_flapack()
+dposv, zheevr = _flapack.dposv, _flapack.zheevr
 
 
 @dataclass(frozen=True)
@@ -150,7 +174,8 @@ def _packed_index(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarra
 def _psd_project(s: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Project the Hermitian block ``s``, read from its lower triangle, into ``out``.
 
-    Only the m eigenpairs above zero are computed, by LAPACK ``zheevr``.  For
+    Only the m eigenpairs above zero are computed, by LAPACK ``zheevr`` from
+    scipy's ``_flapack`` extension (see :func:`_load_flapack`).  For
     a value range it finds them by bisection and inverse iteration (its MRRR
     path runs only for the whole spectrum), so the cost grows with m: on one
     47 x 47 block about 130, 320, 480 and 900 us at m = 2, 12, 20 and 40,

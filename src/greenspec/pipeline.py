@@ -148,8 +148,11 @@ def resolve_rescale_map(config: ExperimentConfig) -> RescaleMap:
     """Rescale map over the energy bounds; the signal config needs no extent."""
     sig = config.signal
     if sig.t_max is not None and sig.n is not None:
-        # oversampled grid: enlarge the padding so dt = span/(n-1) exactly
-        return _map_with_bandwidth(config, (sig.n - 1) / (sig.t_max - sig.t0), sig.t0)
+        # oversampled grid: enlarge the padding so dt = span/(n-1) exactly;
+        # the count is bounded first, since an int past the float range
+        # cannot be divided
+        n = _sample_count(sig.n - 1, 1)
+        return _map_with_bandwidth(config, (n - 1) / (sig.t_max - sig.t0), sig.t0)
     omega_a, omega_b = _energy_window(config)
     return build_rescale_map(omega_a, omega_b, GAP_LINES, sig.t0)
 

@@ -1,9 +1,10 @@
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from _oracles import lasso_objective_oracle
-from scipy.linalg import toeplitz
+from scipy.linalg import lapack, toeplitz
 
 from greenspec import anm
 from greenspec.anm import (
@@ -174,6 +175,44 @@ class TestPsdProject:
         s[entry] = value
         with pytest.raises(np.linalg.LinAlgError):
             project(s)
+
+
+def bitwise_equal(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestLapackExtension:
+    """anm loads scipy's _flapack itself; its routines are scipy.linalg.lapack's."""
+
+    @pytest.mark.parametrize("n", (9, 40, 47))
+    def test_zheevr_matches_scipy_linalg(self, n):
+        rng = np.random.default_rng(700 + n)
+        a = random_complex(rng, n, n)
+        s = (a + a.conj().T) / 2
+        ours = anm.zheevr(s, range="V", vl=0.0, vu=np.inf, lower=1)
+        theirs = lapack.zheevr(s, range="V", vl=0.0, vu=np.inf, lower=1)
+        (w, v, m, isuppz, info), (w_ref, v_ref, m_ref, isuppz_ref, info_ref) = ours, theirs
+        assert (m, info) == (m_ref, info_ref) and info == 0 and 0 < m < n
+        # only the first m eigenpairs and 2m support indices are outputs
+        assert bitwise_equal(w[:m], w_ref[:m])
+        assert bitwise_equal(v[:, :m], v_ref[:, :m])
+        assert bitwise_equal(isuppz[: 2 * m], isuppz_ref[: 2 * m])
+
+    def test_dposv_matches_scipy_linalg(self):
+        rng = np.random.default_rng(8)
+        d = rng.standard_normal((12, 40))
+        gram = d @ d.T + 1e-10 * np.eye(12)
+        rhs = rng.standard_normal(12)
+        ours = anm.dposv(gram, rhs)
+        theirs = lapack.dposv(gram, rhs)
+        assert ours[2] == theirs[2] == 0
+        assert all(bitwise_equal(a, b) for a, b in zip(ours, theirs))
+
+    def test_missing_extension_names_the_directory(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(anm.scipy, "__file__", str(tmp_path / "__init__.py"))
+        with pytest.raises(ImportError, match=re.escape(str(tmp_path / "linalg"))):
+            anm._load_flapack()
 
 
 class TestAtomicNorm:

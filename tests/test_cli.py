@@ -211,11 +211,16 @@ class TestSimulateCommand:
 
     @pytest.mark.parametrize(
         "signal",
-        [{"evolver": "exact", "t_max": 1e308}, {"evolver": "exact", "t0": -1e308, "t_max": 1e308}],
-        ids=["long", "two-sided-span"],
+        [
+            {"evolver": "exact", "t_max": 1e308},
+            {"evolver": "exact", "t0": -1e308, "t_max": 1e308},
+            {"t_max": 1.0, "n": 10**400},
+        ],
+        ids=["long", "two-sided-span", "n-past-float-range"],
     )
     def test_overflowing_window_is_usage_error(self, tmp_path, monkeypatch, capsys, signal):
-        # span * omega_max, or the span itself, overflows to inf
+        # span * omega_max, or the span itself, overflows to inf; a given n
+        # past the float range cannot set the spacing span / (n - 1)
         monkeypatch.chdir(tmp_path)  # the default output directory
         cfg = write_config(tmp_path / "cfg.json", signal=signal)
         assert main(["simulate", "--config", cfg]) == 1

@@ -125,13 +125,17 @@ class TestMatchPoles:
         assert report.unmatched_est == (0,)
         assert report.epsilon == pytest.approx(0.3638, abs=1e-4)
 
-    def test_import_leaves_scipy_optimize_unloaded(self):
+    def test_import_leaves_scipy_linalg_and_optimize_unloaded(self):
         # scipy.optimize costs about 20 MB and a quarter second at start-up,
-        # so neither the package nor its command line may load it
+        # and scipy.linalg about 24 MB and 160 ms, so neither the package nor
+        # its command line may load them
         src = str(Path(greenspec.__file__).resolve().parents[1])
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         env = {**os.environ, "PYTHONPATH": path}
-        code = "import sys, greenspec, greenspec.cli; sys.exit('scipy.optimize' in sys.modules)"
+        code = (
+            "import sys, greenspec, greenspec.cli; "
+            "sys.exit(sorted({'scipy.linalg', 'scipy.optimize'} & set(sys.modules)) or None)"
+        )
         result = subprocess.run([sys.executable, "-c", code], env=env, timeout=120)
         assert result.returncode == 0
 
