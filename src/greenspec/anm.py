@@ -82,22 +82,20 @@ dposv, zheevr = _flapack.dposv, _flapack.zheevr
 class AnmConfig:
     """Solver settings.
 
-    ``tau`` is the regularization weight: a number, or one of the policies
-    "auto", "ladder" and "path", which the pipeline resolves to numbers
-    (see :func:`greenspec.pipeline.anm_reconstruct_canonical`);
+    ``tau`` is the regularization weight: a positive number, or one of the
+    policies "ladder" (the default) and "path", which the pipeline resolves
+    to numbers (see :func:`greenspec.pipeline.anm_reconstruct_canonical`);
     :func:`atomic_denoise` itself needs a number.  ``max_iters`` caps one
     solve's iterations; every solve stops on the fixed tolerance ``_TOL``.
     """
 
-    tau: float | str = "auto"
+    tau: float | str = "ladder"
     max_iters: int = 10000
 
     def __post_init__(self) -> None:
-        if isinstance(self.tau, str):
-            if self.tau not in ("auto", "path", "ladder"):
-                raise ValueError("tau must be a number, 'auto', 'path', or 'ladder'")
-        elif not 0.0 < self.tau < math.inf:
-            raise ValueError("tau must be a positive finite number")
+        numeric = not isinstance(self.tau, str) and 0.0 < self.tau < math.inf
+        if not numeric and self.tau not in ("ladder", "path"):
+            raise ValueError("tau must be a positive finite number, 'ladder' or 'path'")
         if self.max_iters < 1:
             raise ValueError("max_iters must be positive")
 

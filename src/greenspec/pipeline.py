@@ -39,12 +39,7 @@ from .spectrum import (
     to_canonical,
 )
 
-# Auto regularization keeps tau at or above this fraction of ||y||, so that
-# deterministic model bias (e.g. product-formula error) does not drive the
-# solver into the degenerate tiny-tau regime on nominally noiseless data.
-TAU_FLOOR_REL = 2e-3
-
-# Relative ladder scanned by the "path" tau policy before local refinement.
+# Relative ladder scanned by the "ladder" and "path" tau policies.
 TAU_PATH_LADDER = (0.003, 0.007, 0.015, 0.03, 0.06, 0.12)
 
 # A grid set by t_max or n alone is padded by the widest gap of this many lines.
@@ -54,6 +49,10 @@ GAP_LINES = 4
 METHODS = ("anm", "dft")
 
 _SHOTS_MAX = int(np.iinfo(np.int64).max)
+
+# qsim.trotter2_evolve loops over the steps in Python: 10^4 steps take about 1 s
+# one-sided at n = 41, 10 s two-sided at n = 801 (2-core Xeon, 1 BLAS thread)
+_TROTTER_STEPS_MAX = 10**4
 
 
 @dataclass(frozen=True)
@@ -76,7 +75,8 @@ class SignalConfig:
             # numpy's binomial draw takes shots as a 64-bit integer
             ("shots", f"in [1, {_SHOTS_MAX}] when given",
              self.shots is None or 1 <= self.shots <= _SHOTS_MAX),
-            ("trotter_steps", ">= 1", self.trotter_steps >= 1),
+            ("trotter_steps", f"in [1, {_TROTTER_STEPS_MAX}]",
+             1 <= self.trotter_steps <= _TROTTER_STEPS_MAX),
             ("seed", ">= 0", self.seed >= 0),  # numpy takes no negative seed
             ("n", ">= 2", self.n is None or self.n >= 2),
         ):
@@ -176,13 +176,13 @@ def _map_with_bandwidth(config: ExperimentConfig, omega_max: float, t0: float) -
 
 
 def _sample_count(span: float, rate: float) -> int:
-    """The grid rule n = floor(span * rate) + 1; ValueError when no array can hold n.
-
-    A span or product past the float range is inf, which no array holds either.
-    """
+    """The grid rule n = floor(span * rate) + 1; ValueError when no array can hold n."""
     x = span * rate
+    if x == math.inf:
+        raise ValueError("the grid needs more samples than a float can count")
     if not x < np.iinfo(np.intp).max:
-        raise ValueError(f"the grid needs {x + 1} samples, more than an array can hold")
+        digits = math.log10(x + 1)  # an int past the float range has a log10 too
+        raise ValueError(f"the grid needs about 10^{digits:.0f} samples, more than an array can hold")
     return math.floor(x) + 1
 
 
@@ -256,15 +256,15 @@ def anm_reconstruct_canonical(
 
     This is the one place the tau policies are resolved into the numbers
     :func:`anm.atomic_denoise` needs, and the one place that decides which
-    solve is reported.  Every policy becomes a list of candidate weights
-    run through the same descend, select and refine loop, whose solves are
-    the rungs of one list kept in solve order.  A numeric
-    ``cfg.tau`` is its own single candidate, and "auto" is
-    :func:`anm.select_tau` of the noise estimate, floored at
-    TAU_FLOOR_REL * ||y||.  "ladder" and "path" scan a geometric grid of
-    weights (or fall back to "auto" when y = 0), scoring each candidate by
-    the least-squares misfit of its fitted atoms against the data.  The
-    descent runs from the largest weight down until the fit turns sour.
+    solve is reported.  Every form of ``cfg.tau`` becomes a list of
+    candidate weights run through the same descend, select and refine loop,
+    whose solves are the rungs of one list kept in solve order.  A number
+    is its own single candidate.  "ladder" and "path" scan a geometric grid
+    of weights (joined by the noise weight :func:`anm.select_tau` when
+    ``sigma_est`` > 0; y = 0 keeps that weight alone), scoring each
+    candidate by the least-squares misfit of its fitted atoms against the
+    data.  The descent runs from the largest weight down until the fit
+    turns sour.
     "ladder" also stops at the first converged candidate whose misfit
     reaches the noise floor, as select would keep no smaller weight;
     "path" descends in full, then sharpens the best bracket by golden
@@ -281,10 +281,9 @@ def anm_reconstruct_canonical(
         if sigma_est > 0:
             noise_tau = anm.select_tau(sigma_est, y.grid.n)
             candidates = sorted(set(candidates) | {noise_tau, 2.0 * noise_tau})
-    elif isinstance(cfg.tau, str):
-        candidates = [max(anm.select_tau(sigma_est, y.grid.n), TAU_FLOOR_REL * norm_y)]
     else:
-        candidates = [cfg.tau]
+        # a number is its own candidate; the zero signal has no scale to scan
+        candidates = [anm.select_tau(sigma_est, y.grid.n) if isinstance(cfg.tau, str) else cfg.tau]
 
     # the visited weights as rungs (tau, misfit, fitted poles, solve), in solve
     # order; a rung's position in the list is its key

@@ -14,17 +14,23 @@ def lasso_objective_oracle(y, tau, grid_size=4096, iters=4000):
     ``grid_size`` on-grid atoms and returns the objective value.  The uniform
     Fourier dictionary has A A^H = grid_size I, so the step size is exact.
     Restricting atoms to the grid can only increase the optimum, which makes
-    this an upper bound for the continuous-dictionary program.
+    this an upper bound for the continuous-dictionary program.  With
+    A[j, k] = exp(2 pi i j k / grid_size), A c is grid_size times the first
+    n entries of the inverse FFT of c, and A^H r the FFT of r zero-padded to
+    grid_size, so no dense A is formed.
     """
     n = len(y)
     step = 1.0 / grid_size
+
+    def synthesize(c):  # A c
+        return grid_size * np.fft.ifft(c)[:n]
+
     c = np.zeros(grid_size, dtype=complex)
     z = c.copy()
     t_acc = 1.0
-    a_mat = np.exp(2j * np.pi * np.outer(np.arange(n), np.arange(grid_size) / grid_size))
     for _ in range(iters):
-        r = a_mat @ z - y
-        g = a_mat.conj().T @ r
+        r = synthesize(z) - y
+        g = np.fft.fft(r, grid_size)  # A^H r
         w = z - step * g
         mag = np.abs(w)
         c_new = np.where(
@@ -33,7 +39,7 @@ def lasso_objective_oracle(y, tau, grid_size=4096, iters=4000):
         t_new = (1.0 + np.sqrt(1.0 + 4.0 * t_acc**2)) / 2.0
         z = c_new + ((t_acc - 1.0) / t_new) * (c_new - c)
         c, t_acc = c_new, t_new
-    return 0.5 * np.linalg.norm(a_mat @ c - y) ** 2 + tau * np.sum(np.abs(c))
+    return 0.5 * np.linalg.norm(synthesize(c) - y) ** 2 + tau * np.sum(np.abs(c))
 
 
 def windowed_misfit(residual, k_max, n, total, f, halfwidth=3):

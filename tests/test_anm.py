@@ -318,9 +318,9 @@ class TestAtomicDenoise:
             atomic_denoise(y, AnmConfig(tau=0.1))
 
     def test_tau_policy_rejected(self):
-        # the pipeline resolves "auto", "ladder" and "path"; the solver needs a number
+        # the pipeline resolves "ladder" and "path"; the solver needs a number
         with pytest.raises(ValueError, match="numeric tau"):
-            atomic_denoise(make_signal(8, [0.3], [1.0]), AnmConfig(tau="auto"))
+            atomic_denoise(make_signal(8, [0.3], [1.0]), AnmConfig(tau="ladder"))
 
     def test_objective_below_trivial_points(self):
         rng = np.random.default_rng(3)
@@ -665,3 +665,22 @@ class TestGridOracleAgreement:
             grid_obj = lasso_objective_oracle(y.samples, tau)
             assert sol.objective <= grid_obj * (1 + 1e-4)
             assert grid_obj - sol.objective <= 0.005 * grid_obj
+
+    def test_fft_oracle_matches_dense_dictionary(self):
+        # the oracle applies A and A^H by FFT; the same FISTA on the dense
+        # Fourier matrix, kept here as the reference, reaches the same objective
+        rng = np.random.default_rng(5)
+        n, grid_size, iters, tau = 12, 64, 300, 0.3
+        y = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        a_mat = np.exp(2j * np.pi * np.outer(np.arange(n), np.arange(grid_size) / grid_size))
+        c = z = np.zeros(grid_size, dtype=complex)
+        t_acc = 1.0
+        for _ in range(iters):
+            w = z - a_mat.conj().T @ (a_mat @ z - y) / grid_size
+            mag = np.maximum(np.abs(w), 1e-300)
+            c_new = w * np.maximum(0.0, 1.0 - tau / grid_size / mag)
+            t_new = (1.0 + np.sqrt(1.0 + 4.0 * t_acc**2)) / 2.0
+            z = c_new + ((t_acc - 1.0) / t_new) * (c_new - c)
+            c, t_acc = c_new, t_new
+        dense = 0.5 * np.linalg.norm(a_mat @ c - y) ** 2 + tau * np.sum(np.abs(c))
+        assert lasso_objective_oracle(y, tau, grid_size, iters) == pytest.approx(dense, rel=1e-12)

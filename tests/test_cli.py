@@ -132,6 +132,8 @@ class TestSimulateCommand:
             ({"signal": {"t_max": 0.3, "n": 1}}, "n"),
             ({"signal": {"t_max": 0.3, "shots": 100, "seed": -1}}, "seed"),
             ({"method": {"anm": {"tau": math.nan}}}, "tau"),
+            ({"method": {"anm": {"tau": "auto"}}}, "tau"),
+            ({"signal": {"t_max": 0.3, "trotter_steps": 10**12}}, "trotter_steps"),
         ],
     )
     def test_out_of_range_value_is_usage_error(self, tmp_path, capsys, section, field):
@@ -139,7 +141,23 @@ class TestSimulateCommand:
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 1
         err = capsys.readouterr().err
         assert "bad config" in err and f"{field} must be" in err
+        if section == {"method": {"anm": {"tau": "auto"}}}:
+            assert "ladder" in err  # the removed policy's message names the default
         assert not (tmp_path / "signal.json").exists()
+
+    @pytest.mark.parametrize(
+        "command",
+        [["simulate"], ["reconstruct", "signal.json"], ["sweep", "--t-max", "0.3"]],
+        ids=["simulate", "reconstruct", "sweep"],
+    )
+    def test_removed_tau_policy_is_usage_error(self, tmp_path, monkeypatch, capsys, command):
+        # "auto" is no longer a policy; the message points to the default
+        monkeypatch.chdir(tmp_path)  # the default output directory
+        cfg = write_config(tmp_path / "cfg.json", method={"anm": {"tau": "auto"}})
+        assert main([*command, "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert "bad config" in err and "ladder" in err
+        assert os.listdir(tmp_path) == ["cfg.json"]
 
     @pytest.mark.parametrize(
         "command, section, field",
@@ -226,6 +244,7 @@ class TestSimulateCommand:
         assert main(["simulate", "--config", cfg]) == 1
         err = capsys.readouterr().err
         assert "bad config" in err and "samples" in err
+        assert len(err) < 200  # the count's magnitude, not its 401 digits
         assert os.listdir(tmp_path) == ["cfg.json"]
 
     @pytest.mark.parametrize("command", [["simulate"], ["sweep", "--t-max", "0.3"]])

@@ -9,7 +9,6 @@ import pytest
 from greenspec import pipeline
 from greenspec.anm import AnmConfig, select_tau
 from greenspec.pipeline import (
-    TAU_FLOOR_REL,
     TAU_PATH_LADDER,
     ExperimentConfig,
     SignalConfig,
@@ -247,24 +246,27 @@ class TestReconstruct:
 
 
 class TestTauPolicies:
-    @pytest.mark.parametrize("policy", [0.05, "auto", "ladder", "path"])
+    @pytest.mark.parametrize("policy", [0.05, "ladder", "path"])
     def test_zero_signal_gives_empty_spectrum(self, policy):
         y = TimeSignal(SamplingGrid(t0=0.0, n=8, dt=1.0), np.zeros(8), CANONICAL)
         spectrum, sol = anm_reconstruct_canonical(y, AnmConfig(tau=policy), sigma_est=0.01)
         assert spectrum.poles == ()
         assert sol.converged is True
         assert sol.iterations == 0
+        # a policy has no ||y|| to scale its ladder by and keeps the noise weight
+        expected = select_tau(0.01, 8) if isinstance(policy, str) else policy
+        assert float(sol.tau).hex() == expected.hex()
 
-    @pytest.mark.parametrize("sigma", [0.0, 0.05])
-    def test_auto_is_its_numeric_tau(self, sigma):
-        # sigma = 0 exercises the TAU_FLOOR_REL floor, sigma = 0.05 the noise rule
-        truth = LineSpectrum((Pole(1.0, 0.2), Pole(0.6, 0.55)), CANONICAL)
-        y = with_noise(synthesize_signal(truth, SamplingGrid(0.0, 16, 1.0)), sigma, seed=3)
-        tau = max(select_tau(sigma, 16), TAU_FLOOR_REL * float(np.linalg.norm(y.samples)))
-        _, auto = anm_reconstruct_canonical(y, AnmConfig(tau="auto"), sigma)
-        _, fixed = anm_reconstruct_canonical(y, AnmConfig(tau=tau), sigma)
-        assert auto.tau.hex() == fixed.tau.hex()
-        assert auto.x_hat.tobytes() == fixed.x_hat.tobytes()
+    def test_default_policy_is_the_ladder(self):
+        assert AnmConfig().tau == "ladder"
+        signal = {"evolver": "trotter2", "t_max": 0.27, "n": 12, "shots": 10**5}
+        default = ExperimentConfig.from_dict({"signal": signal})
+        named = ExperimentConfig.from_dict({"signal": signal, "method": {"anm": {"tau": "ladder"}}})
+        y = simulate_signal(named)
+        a, b = reconstruct(y, default, "anm"), reconstruct(y, named, "anm")
+        assert a.epsilon.hex() == b.epsilon.hex()
+        assert a.dual_solution.tau.hex() == b.dual_solution.tau.hex()
+        assert a.dual_solution.x_hat.tobytes() == b.dual_solution.x_hat.tobytes()
 
     def test_ladder_skips_unconverged_candidate(self, monkeypatch):
         # the second ladder weight is made unconverged with the lowest misfit;
@@ -382,7 +384,7 @@ class TestLadderNoiseStop:
         assert calls[0][1] is None
         assert all(warm is prev for (_, warm, _), (_, _, prev) in zip(calls[1:], calls))
 
-    @pytest.mark.parametrize("policy", ["auto", "ladder", "path", 0.01])
+    @pytest.mark.parametrize("policy", ["ladder", "path", 0.01])
     def test_no_weight_is_solved_twice(self, monkeypatch, policy):
         y = self.signal(0.002)
         calls = self.spy_solves(monkeypatch)
