@@ -23,7 +23,6 @@ import numpy as np
 
 from . import anm, pipeline, qsim
 from .spectrum import (
-    TimeSignal,
     dump_json,
     load_json,
     signal_from_json,
@@ -94,16 +93,6 @@ def _comma_list(kind):
     return parse
 
 
-def _retarded(signal: TimeSignal, factor: complex) -> TimeSignal:
-    """Multiply a non-negative-time signal by ``factor``.
-
-    -1j attaches the retarded prefactor -i theta(t) (theta(0) = 1); 1j strips it.
-    """
-    if np.any(signal.grid.times() < 0):
-        raise _UsageError("retarded convention cannot represent negative times")
-    return TimeSignal(signal.grid, factor * signal.samples, signal.domain)
-
-
 def cmd_simulate(args) -> int:
     config = _load_config(args.config)
     if args.seed is not None:
@@ -111,8 +100,6 @@ def cmd_simulate(args) -> int:
     with _bad_config(args.config):  # a config with no extent, or too coarse a one
         pipeline.resolve_grid(config, pipeline.resolve_rescale_map(config))
     signal = pipeline.simulate_signal(config)
-    if args.convention == "retarded":
-        signal = _retarded(signal, -1j)
     os.makedirs(args.out, exist_ok=True)
     sig_path = os.path.join(args.out, "signal.json")
     dump_json(signal_to_json(signal), sig_path)
@@ -123,7 +110,6 @@ def cmd_simulate(args) -> int:
         "shots": config.signal.shots,
         "seed": config.signal.seed,
         "use_sym": config.signal.use_sym,
-        "convention": args.convention,
     }
     dump_json(meta, os.path.join(args.out, "signal_meta.json"))
     if not args.quiet:
@@ -139,8 +125,6 @@ def cmd_reconstruct(args) -> int:
         raise _IoError(f"cannot read signal {args.signal}: {exc}") from exc
     with _bad_config(args.config):  # the model's energy range must fit the file's sampling
         pipeline.rescale_map_for_grid(config, signal.grid)
-    if args.convention == "retarded":
-        signal = _retarded(signal, 1j)
     if args.mitigate:
         try:
             qsim.zero_time_index(signal.grid)
@@ -234,16 +218,8 @@ def build_parser() -> argparse.ArgumentParser:
     writes = argparse.ArgumentParser(add_help=False, parents=[common])
     writes.add_argument("--out", default=".", help="output directory")
 
-    convention_help = (
-        "signal file convention: bare exponential sum (gtilde) or with the "
-        "retarded -i theta(t) prefactor attached"
-    )
-
     p_sim = sub.add_parser("simulate", parents=[writes], help="sample the Green's function")
     p_sim.add_argument("--seed", type=_seed, default=None, help="override the config seed")
-    p_sim.add_argument(
-        "--convention", choices=("gtilde", "retarded"), default="gtilde", help=convention_help
-    )
     p_sim.set_defaults(func=cmd_simulate)
 
     p_rec = sub.add_parser(
@@ -253,9 +229,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_rec.add_argument("--method", choices=("anm", "dft", "both"), default="both")
     p_rec.add_argument(
         "--mitigate", action="store_true", help="rescale by |G(0)|; the grid must contain t = 0"
-    )
-    p_rec.add_argument(
-        "--convention", choices=("gtilde", "retarded"), default="gtilde", help=convention_help
     )
     p_rec.set_defaults(func=cmd_reconstruct)
 
@@ -298,7 +271,7 @@ def main(argv: list[str] | None = None) -> int:
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except _IoError as exc:
+    except (_IoError, OSError) as exc:  # OSError: an --out that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except (FloatingPointError, MemoryError, np.linalg.LinAlgError, ValueError) as exc:

@@ -71,9 +71,7 @@ class TestSimulateCommand:
         out_dir = tmp_path / "out"
         assert main(["simulate", "--config", cfg, "--out", str(out_dir), "--quiet"]) == 0
         meta = load_json(out_dir / "signal_meta.json")
-        assert set(meta) == {
-            "model", "evolver", "trotter_steps", "shots", "seed", "use_sym", "convention"
-        }
+        assert set(meta) == {"model", "evolver", "trotter_steps", "shots", "seed", "use_sym"}
 
     def test_bad_config_is_usage_error(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -492,29 +490,20 @@ class TestReconstructCommand:
             report["solver"]
         )
 
-    def test_retarded_convention_round_trip(self, tmp_path):
-        cfg = write_config(tmp_path / "cfg.json")
-        out_dir = tmp_path / "ret"
-        assert (
-            main(
-                ["simulate", "--config", cfg, "--out", str(out_dir), "--convention",
-                 "retarded", "--quiet"]
-            )
-            == 0
-        )
-        sig = load_json(out_dir / "signal.json")
-        # the prefactor turns the t = 0 value 1 into -i
-        assert sig["samples"][0] == pytest.approx([0.0, -1.0])
-        code = main(
-            ["reconstruct", str(out_dir / "signal.json"), "--config", cfg,
-             "--out", str(out_dir), "--method", "anm", "--convention", "retarded", "--quiet"]
-        )
-        assert code == 0
-        assert load_json(out_dir / "report_anm.json")["epsilon"] < 1e-3
-
-    def test_usage_error_on_bad_flags(self):
+    def test_usage_error_on_bad_flags(self, tmp_path):
         assert main(["reconstruct"]) == 1
         assert main(["frobnicate"]) == 1
+        # a constant phase on the samples changes no reconstruction, so there
+        # is no signal convention to choose
+        cfg = write_config(tmp_path / "cfg.json")
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "sig"), "--quiet"]) == 0
+        signal = str(tmp_path / "sig" / "signal.json")
+        out_dir = tmp_path / "out"
+        assert main(["simulate", "--config", cfg, "--out", str(out_dir),
+                     "--convention", "retarded"]) == 1
+        assert main(["reconstruct", signal, "--config", cfg, "--out", str(out_dir),
+                     "--convention", "gtilde"]) == 1
+        assert not out_dir.exists()
 
     def test_seed_is_usage_error(self, tmp_path):
         # reconstruct draws no sample, so a seed could change nothing
@@ -657,3 +646,21 @@ class TestSweepCommand:
         assert math.isfinite(float(scored["epsilon"]))
         meta = load_json(out / "sweep_meta.json")
         assert meta["theory_threshold_t_max"] > 0
+
+
+@pytest.mark.parametrize("command", ["simulate", "reconstruct", "sweep"])
+def test_unwritable_out_is_io_error(tmp_path, capsys, command):
+    cfg = write_config(tmp_path / "cfg.json")
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path), "--quiet"]) == 0
+    args = {
+        "simulate": ["simulate"],
+        "reconstruct": ["reconstruct", str(tmp_path / "signal.json"), "--method", "dft"],
+        "sweep": ["sweep", "--t-max", "0.27", "--method", "dft"],
+    }[command]
+    capsys.readouterr()
+    # --out names a regular file, so no output directory can be made there
+    code = main([*args, "--config", cfg, "--out", str(tmp_path / "cfg.json"), "--quiet"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:")
+    assert "Traceback" not in err

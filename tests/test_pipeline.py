@@ -43,6 +43,7 @@ from greenspec.spectrum import (
 
 
 LADDER_ANM = AnmConfig(tau="ladder", max_iters=6000)
+EXAMPLE_CONFIG = Path(__file__).resolve().parent.parent / "demos" / "config.example.json"
 
 
 def with_noise(signal, sigma, seed):
@@ -237,6 +238,32 @@ class TestReconstruct:
         plain = reconstruct(signal, cfg, "dft").epsilon
         mitigated = reconstruct(mitigate_gate_error(signal, reference=2.0)[0], cfg, "dft").epsilon
         assert mitigated == pytest.approx(plain, rel=1e-8)
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            ExperimentConfig(
+                signal=SignalConfig(evolver="exact", t_max=0.27, n=24), anm=AnmConfig(tau="ladder")
+            ),
+            ExperimentConfig.from_dict(json.loads(EXAMPLE_CONFIG.read_text())),
+        ],
+        ids=["criterion03_window", "example_config"],
+    )
+    def test_constant_phase_changes_no_reconstruction(self, cfg):
+        # only |amplitude| and frequency are scored, so a phase on every sample,
+        # such as the retarded prefactor -i, leaves the reconstruction as it is
+        signal = simulate_signal(cfg)
+        for method in pipeline.METHODS:
+            plain = reconstruct(signal, cfg, method)
+            for theta in (-np.pi / 2, np.pi / 2, 1.0):
+                phased = TimeSignal(signal.grid, np.exp(1j * theta) * signal.samples, signal.domain)
+                out = reconstruct(phased, cfg, method)
+                if method == "anm":  # the same rung; its scale ||y|| moves in the last bit
+                    assert out.dual_solution.tau == pytest.approx(plain.dual_solution.tau, rel=1e-12)
+                assert out.report.pairs == plain.report.pairs
+                assert out.report.unmatched_true == plain.report.unmatched_true
+                assert out.report.unmatched_est == plain.report.unmatched_est
+                assert out.epsilon == pytest.approx(plain.epsilon, rel=1e-6)
 
     def test_unknown_method_rejected(self):
         cfg = ExperimentConfig(signal=SignalConfig(t_max=0.3, n=8))
@@ -621,7 +648,7 @@ class TestConfigParsing:
         after = readme.split("A config file is JSON", 1)[1]
         block = after.split("```json\n", 1)[1].split("```", 1)[0]
         cfg = ExperimentConfig.from_dict(json.loads(block))
-        assert cfg.anm.tau == "path"
+        assert cfg.anm.tau == "ladder"
 
     def test_int_for_float_and_null_for_none_accepted(self):
         data = {
