@@ -49,7 +49,7 @@ import math
 import os
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
+from typing import ClassVar
 
 import numpy as np
 import scipy
@@ -80,24 +80,22 @@ dposv, zheevr = _flapack.dposv, _flapack.zheevr
 
 @dataclass(frozen=True)
 class AnmConfig:
-    """Solver settings.
+    """Solver settings: the regularization weight ``tau`` alone.
 
-    ``tau`` is the regularization weight: a positive number, or one of the
-    policies "ladder" (the default) and "path", which the pipeline resolves
-    to numbers (see :func:`greenspec.pipeline.anm_reconstruct_canonical`);
-    :func:`atomic_denoise` itself needs a number.  ``max_iters`` caps one
-    solve's iterations; every solve stops on the fixed tolerance ``_TOL``.
+    ``tau`` is a positive number, or one of the policies "ladder" (the
+    default) and "path", which the pipeline resolves to numbers (see
+    :func:`greenspec.pipeline.anm_reconstruct_canonical`);
+    :func:`atomic_denoise` itself needs a number.  Every solve stops on the
+    fixed tolerance ``_TOL`` or the fixed cap ``max_iters``, a class constant.
     """
 
     tau: float | str = "ladder"
-    max_iters: int = 10000
+    max_iters: ClassVar[int] = 10_000
 
     def __post_init__(self) -> None:
         numeric = not isinstance(self.tau, str) and 0.0 < self.tau < math.inf
         if not numeric and self.tau not in ("ladder", "path"):
             raise ValueError("tau must be a positive finite number, 'ladder' or 'path'")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be positive")
 
 
 @dataclass(frozen=True)
@@ -144,7 +142,6 @@ def select_tau(sigma: float, n: int) -> float:
     return float(sigma * np.sqrt(n * ln) * (1.0 + 1.0 / ln))
 
 
-@lru_cache(maxsize=32)
 def _packed_index(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     # _admm's (n+1)^2 reals of a Hermitian (n+1) x (n+1) block, addressed in its
     # flattened float64 view: its lower triangle row by row, real and imaginary
@@ -164,8 +161,6 @@ def _packed_index(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarra
     offset = 2 * (i - j)
     bins = np.stack((offset, offset + 1), axis=1).reshape(-1)[keep][: n * n]
     diag = np.arange(1, n + 1) ** 2 - 1
-    for a in (index, weight, bins, diag):
-        a.flags.writeable = False
     return index, weight, bins, diag
 
 
@@ -221,7 +216,6 @@ _EYE = np.eye(_AA_MEMORY)
 def _admm(
     samples: np.ndarray,
     tau: float,
-    config: AnmConfig,
     fix_x: bool,
     warm: DenoisedSolution | None = None,
 ) -> DenoisedSolution:
@@ -278,7 +272,7 @@ def _admm(
     stored = -1  # differences stored since the memory restarted; -1 forces a restart
     f_min = math.inf
     converged = False
-    for it in range(1, config.max_iters + 1):
+    for it in range(1, AnmConfig.max_iters + 1):
         s = w[:h] + w[h:]
         if not fix_x:
             x = (y + 2.0 * rho * np.conj(s[lead:-1].view(complex))) / (1.0 + 2.0 * rho)
@@ -400,7 +394,7 @@ def atomic_denoise(
             f"n = {n}: separation guarantees are vacuous for so few samples",
             stacklevel=2,
         )
-    return _admm(samples, float(config.tau), config, fix_x=False, warm=warm)
+    return _admm(samples, float(config.tau), fix_x=False, warm=warm)
 
 
 def atomic_norm(x: TimeSignal) -> float:
@@ -409,7 +403,7 @@ def atomic_norm(x: TimeSignal) -> float:
         raise ValueError("atomic_norm expects a canonical-domain signal")
     samples = np.asarray(x.samples, dtype=complex)
     # tau = ||x|| is the weight 1 in the solve's units of ||x||
-    sol = _admm(samples, float(np.linalg.norm(samples)), AnmConfig(), fix_x=True)
+    sol = _admm(samples, float(np.linalg.norm(samples)), fix_x=True)
     return sol.atomic_norm_value
 
 

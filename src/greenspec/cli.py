@@ -16,7 +16,7 @@ import json
 import math
 import os
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import replace
 
 import numpy as np
@@ -56,6 +56,23 @@ def _bad_config(path: str | None, errors=(TypeError, ValueError)):
         yield
     except errors as exc:
         raise _UsageError(f"bad config {path or '(defaults)'}: {exc}") from exc
+
+
+@contextmanager
+def _out_dir(path: str):
+    """Make the output directory before the work; work that fails takes back what this made."""
+    made, head = [], os.path.abspath(path)  # the missing directories, deepest first
+    while not os.path.exists(head):
+        made.append(head)
+        head = os.path.dirname(head)
+    os.makedirs(path, exist_ok=True)
+    try:
+        yield
+    except BaseException:
+        with suppress(OSError):  # stops at a directory something wrote into
+            for directory in made:
+                os.rmdir(directory)
+        raise
 
 
 class _UsageError(Exception):
@@ -98,9 +115,9 @@ def cmd_simulate(args) -> int:
     if args.seed is not None:
         config = replace(config, signal=replace(config.signal, seed=args.seed))
     with _bad_config(args.config):  # a config with no extent, or too coarse a one
-        pipeline.resolve_grid(config, pipeline.resolve_rescale_map(config))
-    signal = pipeline.simulate_signal(config)
-    os.makedirs(args.out, exist_ok=True)
+        pipeline.resolve_grid(config)
+    with _out_dir(args.out):
+        signal = pipeline.simulate_signal(config)
     sig_path = os.path.join(args.out, "signal.json")
     dump_json(signal_to_json(signal), sig_path)
     meta = {
@@ -178,9 +195,8 @@ def cmd_sweep(args) -> int:
         meta = {"theory_threshold_t_max": pipeline.theory_threshold_t_max(config)}
     # run_sweep records each cell's numeric failure, so a ValueError it raises
     # rejects the config before any cell runs
-    with _bad_config(args.config, ValueError):
+    with _out_dir(args.out), _bad_config(args.config, ValueError):
         cells = pipeline.run_sweep(config, args.t_max, seeds, methods=methods, variants=variants)
-    os.makedirs(args.out, exist_ok=True)
     csv_path = os.path.join(args.out, "sweep.csv")
     with open(csv_path, "w") as fh:
         fh.write("\n".join(pipeline.sweep_to_csv_rows(cells)) + "\n")

@@ -123,8 +123,8 @@ def _section(cls, section: str, values):
         raise ValueError(f"{section} section must be an object, got {type(values).__name__}")
     hints = typing.get_type_hints(cls)
     for key, value in values.items():
-        if key not in hints:
-            continue  # cls(**values) rejects an unknown key
+        if key not in hints or typing.get_origin(hints[key]) is typing.ClassVar:
+            continue  # cls(**values) rejects an unknown key or a class constant
         annotated = typing.get_args(hints[key]) or (hints[key],)
         if type(value) not in set().union(*(_ACCEPTS.get(a, {a}) for a in annotated)):
             expected = " or ".join("null" if a is type(None) else a.__name__ for a in annotated)
@@ -167,6 +167,8 @@ def rescale_map_for_grid(config: ExperimentConfig, grid: SamplingGrid) -> Rescal
 
 
 def _map_with_bandwidth(config: ExperimentConfig, omega_max: float, t0: float) -> RescaleMap:
+    if not math.isfinite(omega_max):
+        raise ValueError("the sample rate overflows: too many samples for so short a window")
     # the gap padding that makes the padded energy window span 2 pi omega_max
     omega_a, omega_b = _energy_window(config)
     delta = 2.0 * math.pi * omega_max - (omega_b - omega_a)
@@ -186,8 +188,10 @@ def _sample_count(span: float, rate: float) -> int:
     return math.floor(x) + 1
 
 
-def resolve_grid(config: ExperimentConfig, rmap: RescaleMap) -> SamplingGrid:
+def resolve_grid(config: ExperimentConfig) -> SamplingGrid:
+    """Sampling grid of the signal config, spaced 1/omega_max by its rescale map."""
     sig = config.signal
+    rmap = resolve_rescale_map(config)
     if sig.n is not None:
         n = _sample_count(sig.n - 1, 1)  # a given n meets the same bound
     elif sig.t_max is not None:
@@ -199,8 +203,7 @@ def resolve_grid(config: ExperimentConfig, rmap: RescaleMap) -> SamplingGrid:
 
 def simulate_signal(config: ExperimentConfig) -> TimeSignal:
     """Sample the Green's function on the configured grid (physical domain)."""
-    rmap = resolve_rescale_map(config)
-    grid = resolve_grid(config, rmap)
+    grid = resolve_grid(config)
     sig = config.signal
     _, _, h_eff = qsim.build_hamiltonians(config.model)
     gs = qsim.prepare_ground_state(config.model)

@@ -27,7 +27,6 @@ independent, reproducible substream per (time, seed, observable).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -208,21 +207,8 @@ def prepare_ground_state(params: ModelParams) -> StateVector:
     return StateVector(amps)
 
 
-@lru_cache(maxsize=64)
 def _eigendecomposition(h: PauliHamiltonian) -> tuple[np.ndarray, np.ndarray]:
-    w, v = np.linalg.eigh(h.matrix())
-    w.flags.writeable = False
-    v.flags.writeable = False
-    return w, v
-
-
-@lru_cache(maxsize=64)
-def _term_matrices(h: PauliHamiltonian) -> tuple[tuple[float, np.ndarray], ...]:
-    # (coefficient, P^T) per term, in term order: psi @ P^T applies P to each row
-    terms = tuple((c, s.matrix().T) for c, s in h.terms)
-    for _, pt in terms:
-        pt.flags.writeable = False
-    return terms
+    return np.linalg.eigh(h.matrix())
 
 
 def _check_state(h: PauliHamiltonian, state: StateVector) -> None:
@@ -268,7 +254,8 @@ def trotter2_evolve(
     _check_state(h, state)
     psi = state.amplitudes
     half = np.asarray(t, dtype=float)[..., None] / steps / 2.0
-    terms = _term_matrices(h)
+    # (coefficient, P^T) per term, in term order: psi @ P^T applies P to each row
+    terms = [(c, s.matrix().T) for c, s in h.terms]
     for _ in range(steps):
         for c, pt in terms:
             psi = _apply_pauli_exponential(c, pt, half, psi)

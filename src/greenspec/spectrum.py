@@ -93,10 +93,6 @@ class SamplingGrid:
     def times(self) -> np.ndarray:
         return self.t0 + self.dt * np.arange(self.n)
 
-    @property
-    def t_max(self) -> float:
-        return self.t0 + (self.n - 1) * self.dt
-
 
 @dataclass(frozen=True)
 class TimeSignal:

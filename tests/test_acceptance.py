@@ -333,7 +333,7 @@ def test_criterion_10_sample_complexity_property(noiseless_run, capsys):
         sigma = np.sqrt(np.mean(np.abs(x) ** 2) / 100.0)  # 20 dB SNR
         noise = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * sigma / np.sqrt(2)
         y = TimeSignal(SamplingGrid(0.0, n, 1.0), x + noise, CANONICAL)
-        cfg = AnmConfig(tau=select_tau(sigma, n), max_iters=5000)
+        cfg = AnmConfig(tau=select_tau(sigma, n))
         peaks = locate_peaks(atomic_denoise(y, cfg))
         return all(any(wrap(p, f) < df / 4 for p in peaks) for f in (f1, f2))
 

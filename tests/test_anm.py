@@ -583,7 +583,7 @@ class TestLocatePeaks:
             counts.append(len(locate_peaks(atomic_denoise(y, cfg))))
         assert counts == [2, 2]
 
-    def test_full_rank_toeplitz_of_capped_solve(self):
+    def test_full_rank_toeplitz_of_capped_solve(self, monkeypatch):
         # a solve stopped short of the optimum can leave T(u) full rank or
         # indefinite.  Three iterations from the zero state leave it
         # indefinite; the samples' biased autocorrelation, put in its place, is
@@ -592,7 +592,8 @@ class TestLocatePeaks:
         rng = np.random.default_rng(0)
         samples = atoms(n, [0.2, 0.5]) @ np.array([1.0, 0.7]) + 0.05 * random_complex(rng, n)
         y = TimeSignal(SamplingGrid(0.0, n, 1.0), samples, CANONICAL)
-        capped = atomic_denoise(y, AnmConfig(tau=0.3, max_iters=3))
+        monkeypatch.setattr(AnmConfig, "max_iters", 3)
+        capped = atomic_denoise(y, AnmConfig(tau=0.3))
         assert not capped.converged
         autocorr = np.array([samples[k:] @ np.conj(samples[: n - k]) for k in range(n)]) / n
         full = replace(capped, toeplitz_vec=autocorr)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from greenspec import pipeline
+from greenspec.anm import AnmConfig
 from greenspec.cli import main
 from greenspec.spectrum import load_json
 
@@ -79,19 +80,22 @@ class TestSimulateCommand:
         assert main(["simulate", "--config", str(bad), "--out", str(tmp_path)]) == 1
 
     @pytest.mark.parametrize(
-        "section",
+        "section, key",
         [
-            {"rescale": {"k_min": 4}},
-            {"methd": {"anm": {"tau": 0.1}}},
-            {"method": {"music": {}}},
-            {"method": {"dft": {}}},
+            ({"rescale": {"k_min": 4}}, "rescale"),
+            ({"methd": {"anm": {"tau": 0.1}}}, "methd"),
+            ({"method": {"music": {}}}, "method.music"),
+            ({"method": {"dft": {}}}, "method.dft"),
+            # the iteration cap is fixed, as the tolerance is
+            ({"method": {"anm": {"max_iters": 10000}}}, "max_iters"),
         ],
     )
-    def test_unknown_section_is_usage_error(self, tmp_path, capsys, section):
+    def test_unknown_section_is_usage_error(self, tmp_path, capsys, section, key):
         cfg = write_config(tmp_path / "cfg.json", **section)
-        assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 1
-        assert "bad config" in capsys.readouterr().err
-        assert not (tmp_path / "signal.json").exists()
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert "bad config" in err and key in err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "section, field",
@@ -226,20 +230,25 @@ class TestSimulateCommand:
         assert os.listdir(tmp_path) == ["cfg.json"]
 
     @pytest.mark.parametrize(
-        "signal",
+        "command, signal",
         [
-            {"evolver": "exact", "t_max": 1e308},
-            {"evolver": "exact", "t0": -1e308, "t_max": 1e308},
-            {"t_max": 1.0, "n": 10**400},
+            (["simulate"], {"evolver": "exact", "t_max": 1e308}),
+            (["simulate"], {"evolver": "exact", "t0": -1e308, "t_max": 1e308}),
+            (["simulate"], {"t_max": 1.0, "n": 10**400}),
+            (["simulate"], {"t_max": 1e-320, "n": 3}),
+            (["sweep", "--t-max", "0.3"], {"t_max": 1e-320, "n": 3}),
         ],
-        ids=["long", "two-sided-span", "n-past-float-range"],
+        ids=["long", "two-sided-span", "n-past-float-range", "rate", "sweep-rate"],
     )
-    def test_overflowing_window_is_usage_error(self, tmp_path, monkeypatch, capsys, signal):
+    def test_overflowing_window_is_usage_error(
+        self, tmp_path, monkeypatch, capsys, command, signal
+    ):
         # span * omega_max, or the span itself, overflows to inf; a given n
-        # past the float range cannot set the spacing span / (n - 1)
+        # past the float range cannot set the spacing span / (n - 1); and
+        # (n - 1) / span overflows to an infinite sample rate
         monkeypatch.chdir(tmp_path)  # the default output directory
         cfg = write_config(tmp_path / "cfg.json", signal=signal)
-        assert main(["simulate", "--config", cfg]) == 1
+        assert main([*command, "--config", cfg]) == 1
         err = capsys.readouterr().err
         assert "bad config" in err and "samples" in err
         assert len(err) < 200  # the count's magnitude, not its 401 digits
@@ -519,9 +528,7 @@ class TestSweepCommand:
         cfg = write_config(
             tmp_path / "cfg.json",
             signal={"evolver": "trotter2", "t_max": 0.4, "n": 10, "shots": 2000, "seed": 0},
-            method={
-                "anm": {"tau": "ladder", "max_iters": 4000},
-            },
+            method={"anm": {"tau": "ladder"}},
         )
         out_a = tmp_path / "a"
         out_b = tmp_path / "b"
@@ -589,12 +596,13 @@ class TestSweepCommand:
         variants = {r.split(",")[2] for r in rows[1:]}
         assert variants == {"exact_noiseless", "trotter2_noiseless"}
 
-    def test_summary_counts_unconverged_cells(self, tmp_path, capsys):
+    def test_summary_counts_unconverged_cells(self, tmp_path, monkeypatch, capsys):
         # a three-iteration budget cannot converge; the cell still gets an epsilon
+        monkeypatch.setattr(AnmConfig, "max_iters", 3)
         cfg = write_config(
             tmp_path / "cfg.json",
             signal={"evolver": "exact", "t_max": 0.3, "n": 8, "seed": 0},
-            method={"anm": {"tau": 0.05, "max_iters": 3}},
+            method={"anm": {"tau": 0.05}},
         )
         out = tmp_path / "u"
         args = ["sweep", "--config", cfg, "--t-max", "0.3", "--method", "anm", "--out", str(out)]
@@ -649,9 +657,15 @@ class TestSweepCommand:
 
 
 @pytest.mark.parametrize("command", ["simulate", "reconstruct", "sweep"])
-def test_unwritable_out_is_io_error(tmp_path, capsys, command):
+def test_unwritable_out_is_io_error(tmp_path, monkeypatch, capsys, command):
     cfg = write_config(tmp_path / "cfg.json")
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path), "--quiet"]) == 0
+
+    def simulated(config):
+        raise AssertionError("simulated a signal before making the output directory")
+
+    # the output directory is made before any signal is simulated
+    monkeypatch.setattr(pipeline, "simulate_signal", simulated)
     args = {
         "simulate": ["simulate"],
         "reconstruct": ["reconstruct", str(tmp_path / "signal.json"), "--method", "dft"],

@@ -42,7 +42,7 @@ from greenspec.spectrum import (
 )
 
 
-LADDER_ANM = AnmConfig(tau="ladder", max_iters=6000)
+LADDER_ANM = AnmConfig(tau="ladder")
 EXAMPLE_CONFIG = Path(__file__).resolve().parent.parent / "demos" / "config.example.json"
 
 
@@ -78,7 +78,7 @@ class TestGridResolution:
     def test_default_grid_follows_spacing_rule(self):
         cfg = ExperimentConfig(signal=SignalConfig(t_max=2.0))
         rmap = resolve_rescale_map(cfg)
-        grid = resolve_grid(cfg, rmap)
+        grid = resolve_grid(cfg)
         assert grid.dt == pytest.approx(1.0 / rmap.omega_max)
         assert grid.n == int(np.floor(2.0 * rmap.omega_max)) + 1
         # default window from the Hamiltonian one-norm, four-peak gap
@@ -87,14 +87,14 @@ class TestGridResolution:
     def test_oversampled_grid_keeps_invariants(self):
         cfg = ExperimentConfig(signal=SignalConfig(t_max=0.27, n=24))
         rmap = resolve_rescale_map(cfg)
-        grid = resolve_grid(cfg, rmap)
+        grid = resolve_grid(cfg)
         assert grid.n == 24
         assert grid.dt * 23 == pytest.approx(0.27, rel=1e-12)
         assert rmap.omega_max == pytest.approx(23 / 0.27, rel=1e-12)
 
     def test_two_sided_window(self):
         cfg = ExperimentConfig(signal=SignalConfig(t_max=0.5, t0=-0.5, n=21))
-        grid = resolve_grid(cfg, resolve_rescale_map(cfg))
+        grid = resolve_grid(cfg)
         times = grid.times()
         assert times[0] == pytest.approx(-0.5)
         assert times[-1] == pytest.approx(0.5)
@@ -102,16 +102,16 @@ class TestGridResolution:
     def test_n_only_derives_t_max(self):
         cfg = ExperimentConfig(signal=SignalConfig(n=8))
         rmap = resolve_rescale_map(cfg)
-        grid = resolve_grid(cfg, rmap)
+        grid = resolve_grid(cfg)
         assert grid.n == 8
-        assert grid.t_max == pytest.approx(7.0 / rmap.omega_max)
+        assert grid.times()[-1] == pytest.approx(7.0 / rmap.omega_max)
 
     @pytest.mark.parametrize("t_max", [0.1, 0.26, 0.3])
     def test_one_sample_window_rejected(self, t_max):
         # the default spacing is 0.473, so these windows hold one sample
         cfg = ExperimentConfig(signal=SignalConfig(t_max=t_max))
         with pytest.raises(ValueError, match="need at least two samples"):
-            resolve_grid(cfg, resolve_rescale_map(cfg))
+            resolve_grid(cfg)
 
 
 class TestSimulate:
@@ -603,7 +603,7 @@ class TestConfigParsing:
     def test_signal_requires_extent_to_resolve(self):
         cfg = ExperimentConfig(signal=SignalConfig(t_max=None, n=None))
         with pytest.raises(ValueError, match="needs t_max, n, or both"):
-            resolve_grid(cfg, resolve_rescale_map(cfg))
+            resolve_grid(cfg)
         with pytest.raises(ValueError, match="needs t_max, n, or both"):
             simulate_signal(cfg)
 
@@ -623,6 +623,12 @@ class TestConfigParsing:
     def test_gaussian_noise_is_unknown_key(self):
         with pytest.raises(TypeError, match="'sigma'"):
             ExperimentConfig.from_dict({"signal": {"sigma": 0.0}})
+
+    @pytest.mark.parametrize("value", [10000, 1.5, "x"])
+    def test_iteration_cap_is_unknown_key(self, value):
+        # a class constant, not a field, whatever the value's type
+        with pytest.raises(TypeError, match="unexpected keyword argument 'max_iters'"):
+            ExperimentConfig.from_dict({"method": {"anm": {"max_iters": value}}})
 
     @pytest.mark.parametrize("data", [[], "anm", {"method": []}, {"method": "anm"}])
     def test_non_object_rejected(self, data):
