@@ -149,12 +149,14 @@ def cmd_reconstruct(args) -> int:
             raise _UsageError(str(exc)) from exc
         reference = 1.0 if config.signal.use_sym else 2.0  # the noiseless |G(0)|
         signal, _ = qsim.mitigate_gate_error(signal, reference=reference)
-    os.makedirs(args.out, exist_ok=True)
     methods = pipeline.METHODS if args.method == "both" else (args.method,)
-    for method in methods:
-        out = pipeline.reconstruct(signal, config, method)
-        if not math.isfinite(out.epsilon):
-            raise ValueError(f"{method} reconstruction produced non-finite error")
+    outs = []
+    with _out_dir(args.out):  # every method runs before any file is written
+        for method in methods:
+            outs.append(pipeline.reconstruct(signal, config, method))
+            if not math.isfinite(outs[-1].epsilon):
+                raise ValueError(f"{method} reconstruction produced non-finite error")
+    for method, out in zip(methods, outs):
         dump_json(
             spectrum_to_json(out.spectrum),
             os.path.join(args.out, f"spectrum_{method}.json"),
@@ -216,8 +218,7 @@ def cmd_oracle(args) -> int:
         print(f"model: U = {config.model.u}, V = {config.model.v}")
         print("amplitude   frequency     z")
     for p in spectrum.poles:
-        z = 0.0 if p.z_expect is None else p.z_expect
-        print(f"{abs(p.amplitude):9.6f}  {p.frequency:+10.6f}  {z:+.6f}")
+        print(f"{abs(p.amplitude):9.6f}  {p.frequency:+10.6f}  {p.z_expect:+.6f}")
     return EXIT_OK
 
 
@@ -261,12 +262,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="append",
         choices=sorted(pipeline.VARIANTS),
         help="signal variant(s); default: the config as given",
-    )
-    p_sweep.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="accepted for compatibility and ignored: cells run in order in one process",
     )
     p_sweep.set_defaults(func=cmd_sweep)
 

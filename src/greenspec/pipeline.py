@@ -148,11 +148,8 @@ def resolve_rescale_map(config: ExperimentConfig) -> RescaleMap:
     """Rescale map over the energy bounds; the signal config needs no extent."""
     sig = config.signal
     if sig.t_max is not None and sig.n is not None:
-        # oversampled grid: enlarge the padding so dt = span/(n-1) exactly;
-        # the count is bounded first, since an int past the float range
-        # cannot be divided
-        n = _sample_count(sig.n - 1, 1)
-        return _map_with_bandwidth(config, (n - 1) / (sig.t_max - sig.t0), sig.t0)
+        # oversampled grid: enlarge the padding so dt = span/(n-1) exactly
+        return _map_with_bandwidth(config, _oversampled_rate(sig), sig.t0)
     omega_a, omega_b = _energy_window(config)
     return build_rescale_map(omega_a, omega_b, GAP_LINES, sig.t0)
 
@@ -186,6 +183,14 @@ def _sample_count(span: float, rate: float) -> int:
         digits = math.log10(x + 1)  # an int past the float range has a log10 too
         raise ValueError(f"the grid needs about 10^{digits:.0f} samples, more than an array can hold")
     return math.floor(x) + 1
+
+
+def _oversampled_rate(sig: SignalConfig) -> float:
+    """The rate (n - 1)/span of a signal config that gives both t_max and n.
+
+    The count is bounded first, since an int past the float range cannot be divided.
+    """
+    return (_sample_count(sig.n - 1, 1) - 1) / (sig.t_max - sig.t0)
 
 
 def resolve_grid(config: ExperimentConfig) -> SamplingGrid:
@@ -225,10 +230,9 @@ def oracle_spectrum(config: ExperimentConfig) -> LineSpectrum:
         return table
     poles = []
     for p in table.poles:
-        w = abs(p.amplitude)
-        z = p.z_expect or 0.0
-        poles.append(Pole(complex(w * (1.0 + z)), -p.frequency, p.z_expect))
-        poles.append(Pole(complex(w * (1.0 - z)), p.frequency, p.z_expect))
+        w, z = abs(p.amplitude), p.z_expect
+        poles.append(Pole(complex(w * (1.0 + z)), -p.frequency, z))
+        poles.append(Pole(complex(w * (1.0 - z)), p.frequency, z))
     return LineSpectrum(tuple(sorted(poles, key=lambda p: p.frequency)), PHYSICAL)
 
 
@@ -335,7 +339,6 @@ def anm_reconstruct_canonical(
 
 @dataclass(frozen=True)
 class ReconstructionOutput:
-    method: str
     spectrum: LineSpectrum  # physical domain
     report: metrics.MatchReport
     epsilon: float
@@ -376,7 +379,7 @@ def reconstruct(signal: TimeSignal, config: ExperimentConfig, method: str) -> Re
         raise ValueError(f"unknown method {method!r}")
     est = _project_physical(_prune_small(from_canonical(canon, rmap)))
     report = metrics.match_poles(truth, est)
-    return ReconstructionOutput(method, est, report, report.epsilon, q_max=q_max, dual_solution=sol)
+    return ReconstructionOutput(est, report, report.epsilon, q_max=q_max, dual_solution=sol)
 
 
 def theory_threshold_t_max(config: ExperimentConfig) -> float:
@@ -435,8 +438,7 @@ def _run_cell(
             # keep the configured sample density: n = floor(span * rate) + 1
             # samples spread over the whole window, so the spacing is
             # span / (n - 1), not 1 / rate
-            rate = (config.signal.n - 1) / (config.signal.t_max - config.signal.t0)
-            sig = replace(sig, n=_sample_count(t_max - t0, rate))
+            sig = replace(sig, n=_sample_count(t_max - t0, _oversampled_rate(config.signal)))
         cell_cfg = replace(config, signal=sig)
         signal = simulate_signal(cell_cfg)
         out = reconstruct(signal, cell_cfg, method)

@@ -11,7 +11,8 @@ batch of states is an ``(n_t, 2^q)`` array with one row per time.
 
 Every gate acts as a dense matrix M built from ``PauliString.matrix()``, as
 psi @ M^T on a batch of rows psi; each product-formula factor is
-cos(a) psi - i sin(a) psi @ P^T, with P built once per Hamiltonian.
+cos(a) psi - i sin(a) psi @ P^T, with cos(a), i sin(a) and P^T built once
+per evolution.
 
 Interferometry expectations are evaluated by direct linear algebra on the
 three-qubit state: Hadamard on the ancilla, ancilla-controlled Pauli
@@ -229,16 +230,6 @@ def exact_evolve(h: PauliHamiltonian, t: float | np.ndarray, state: StateVector)
     return StateVector(amps)
 
 
-def _apply_pauli_exponential(
-    coeff: float, pt: np.ndarray, angle: np.ndarray, psi: np.ndarray
-) -> np.ndarray:
-    # exp(-i angle coeff P) psi = cos(a) psi - i sin(a) P psi, since P^2 = I;
-    # ``pt`` is P^T and ``angle`` holds one value per row of psi, as a
-    # trailing length-1 axis
-    a = angle * coeff
-    return np.cos(a) * psi - 1j * np.sin(a) * (psi @ pt)
-
-
 def trotter2_evolve(
     h: PauliHamiltonian, t: float | np.ndarray, steps: int, state: StateVector
 ) -> StateVector:
@@ -254,13 +245,13 @@ def trotter2_evolve(
     _check_state(h, state)
     psi = state.amplitudes
     half = np.asarray(t, dtype=float)[..., None] / steps / 2.0
-    # (coefficient, P^T) per term, in term order: psi @ P^T applies P to each row
-    terms = [(c, s.matrix().T) for c, s in h.terms]
+    # exp(-i a P) psi = cos(a) psi - i sin(a) psi @ P^T, since P^2 = I; per
+    # term, in term order, (cos a, i sin a, P^T) with one angle a per row of psi
+    factors = [(np.cos(half * c), 1j * np.sin(half * c), s.matrix().T) for c, s in h.terms]
+    factors += factors[::-1]
     for _ in range(steps):
-        for c, pt in terms:
-            psi = _apply_pauli_exponential(c, pt, half, psi)
-        for c, pt in reversed(terms):
-            psi = _apply_pauli_exponential(c, pt, half, psi)
+        for cos_a, i_sin_a, pt in factors:
+            psi = cos_a * psi - i_sin_a * (psi @ pt)
     return StateVector(psi)
 
 
@@ -328,10 +319,8 @@ def _evolved_probe(
     """Rows (one per time) after the Hadamard, controlled alpha and evolution."""
     if len(gs.amplitudes) != 4:
         raise ValueError("ground state must live on the two site qubits")
-    psi = np.zeros(8, dtype=complex)
-    psi[:4] = gs.amplitudes
-    # Hadamard on the ancilla
-    psi = np.concatenate([(psi[:4] + psi[4:]), (psi[:4] - psi[4:])]) / np.sqrt(2.0)
+    # the Hadamard on the ancilla of |0> (x) gs gives (|0> + |1>) (x) gs / sqrt2
+    psi = np.concatenate([gs.amplitudes, gs.amplitudes]) / np.sqrt(2.0)
     psi = psi @ _CONTROLLED_SITE1_T[alpha]
     return _evolve(h_eff, times, StateVector(psi), evolver, trotter_steps).amplitudes
 

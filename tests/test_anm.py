@@ -685,3 +685,19 @@ class TestGridOracleAgreement:
             c, t_acc = c_new, t_new
         dense = 0.5 * np.linalg.norm(a_mat @ c - y) ** 2 + tau * np.sum(np.abs(c))
         assert lasso_objective_oracle(y, tau, grid_size, iters) == pytest.approx(dense, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: select_tau(-1.0, 8), "sigma must be non-negative"),
+        (lambda: atomic_norm(TimeSignal(SamplingGrid(t0=0.0, n=4, dt=1.0), np.ones(4))),
+         "atomic_norm expects a canonical-domain signal"),
+        (lambda: recover_amplitudes(make_signal(8, [0.1], [1.0]), [0.1, 0.1]),
+         "frequencies must be distinct"),
+    ],
+    ids=["negative-sigma", "physical-signal", "repeated-frequency"],
+)
+def test_bad_input_rejected(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()

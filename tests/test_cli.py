@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from greenspec import pipeline
+from greenspec import dft, pipeline
 from greenspec.anm import AnmConfig
 from greenspec.cli import main
 from greenspec.spectrum import load_json
@@ -486,6 +486,31 @@ class TestReconstructCommand:
         assert "cannot read signal" in capsys.readouterr().err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("existing", [False, True], ids=["fresh-out", "existing-out"])
+    def test_failed_method_writes_nothing(self, tmp_path, monkeypatch, capsys, existing):
+        # every method runs before any file is written, so a DFT failure after
+        # the ANM solve leaves no ANM file behind and takes back an --out it made
+        cfg = write_config(tmp_path / "cfg.json", method={"anm": {"tau": "ladder"}})
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path), "--quiet"]) == 0
+
+        def failed(y):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(dft, "extract_peaks_clean", failed)
+        out_dir = tmp_path / "out"
+        if existing:
+            out_dir.mkdir()
+        capsys.readouterr()
+        code = main(["reconstruct", str(tmp_path / "signal.json"), "--config", cfg,
+                     "--out", str(out_dir), "--method", "both"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.err == "numeric failure: SVD did not converge\n"
+        assert captured.out == ""
+        assert out_dir.exists() == existing
+        if existing:
+            assert list(out_dir.iterdir()) == []
+
     def test_solver_diagnostics_in_report(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json")
         out_dir = tmp_path / "out"
@@ -512,6 +537,9 @@ class TestReconstructCommand:
                      "--convention", "retarded"]) == 1
         assert main(["reconstruct", signal, "--config", cfg, "--out", str(out_dir),
                      "--convention", "gtilde"]) == 1
+        # cells run in order in one process, so there is no worker count
+        assert main(["sweep", "--config", cfg, "--out", str(out_dir), "--t-max", "0.27",
+                     "--workers", "2"]) == 1
         assert not out_dir.exists()
 
     def test_seed_is_usage_error(self, tmp_path):
@@ -534,7 +562,7 @@ class TestSweepCommand:
         out_b = tmp_path / "b"
         args = ["sweep", "--config", cfg, "--t-max", "0.3,0.4", "--seeds", "0,1", "--quiet"]
         assert main(args + ["--out", str(out_a)]) == 0
-        assert main(args + ["--out", str(out_b), "--workers", "3"]) == 0
+        assert main(args + ["--out", str(out_b)]) == 0
         csv_a = (out_a / "sweep.csv").read_bytes()
         csv_b = (out_b / "sweep.csv").read_bytes()
         assert csv_a == csv_b

@@ -181,3 +181,8 @@ class TestTableAtom:
             assert np.all(np.isfinite(got))
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * n * abs(amp))
 
+
+def test_physical_signal_rejected():
+    y = TimeSignal(SamplingGrid(t0=0.0, n=4, dt=1.0), np.ones(4))
+    with pytest.raises(ValueError, match="^extract_peaks_clean expects a canonical-domain signal$"):
+        extract_peaks_clean(y)

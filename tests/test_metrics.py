@@ -198,3 +198,9 @@ class TestReconstructionError:
         canon = LineSpectrum((Pole(1.0, 0.5),), "canonical")
         with pytest.raises(ValueError):
             match_poles(TRUTH, canon)
+
+
+def test_weightless_truth_rejected():
+    # epsilon divides by the true spectrum's total weight
+    with pytest.raises(ValueError, match="^true spectrum has zero total weight$"):
+        match_poles(spec((0.0, 1.0)), spec((1.0, 1.0)))

@@ -1,13 +1,14 @@
 import json
 import math
+import re
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from greenspec import pipeline
-from greenspec.anm import AnmConfig, select_tau
+from greenspec import anm, pipeline
+from greenspec.anm import AnmConfig, atomic_denoise, select_tau
 from greenspec.pipeline import (
     TAU_PATH_LADDER,
     ExperimentConfig,
@@ -295,6 +296,18 @@ class TestTauPolicies:
         assert a.dual_solution.tau.hex() == b.dual_solution.tau.hex()
         assert a.dual_solution.x_hat.tobytes() == b.dual_solution.x_hat.tobytes()
 
+    def test_rank_deficient_fit_scores_the_whole_signal(self, monkeypatch):
+        # atoms too close to separate fit nothing: the rung's misfit is ||y||
+        # and it holds no poles
+        n = 12
+        samples = np.exp(2j * np.pi * 0.2 * np.arange(n))
+        y = TimeSignal(SamplingGrid(t0=0.0, n=n, dt=1.0), samples, CANONICAL)
+        sol = atomic_denoise(y, AnmConfig(tau=0.05))
+        monkeypatch.setattr(anm, "locate_peaks", lambda solution: [0.2, 0.2 + 1e-13])
+        assert pipeline._peaks_and_fit(y, sol) == (float(np.linalg.norm(samples)), ())
+        spectrum, _ = anm_reconstruct_canonical(y, AnmConfig(tau=0.05))
+        assert spectrum.poles == ()
+
     def test_ladder_skips_unconverged_candidate(self, monkeypatch):
         # the second ladder weight is made unconverged with the lowest misfit;
         # the selection must still report a converged solve
@@ -545,6 +558,15 @@ class TestSweep:
         with pytest.raises(TypeError):
             run_sweep(cfg, [0.3], [0], methods=("dft",))
 
+    def test_uncountable_oversampled_grid_names_its_size(self):
+        # the sweep bounds the configured count before it divides by it, as
+        # the rescale map does, so the cell names the grid size
+        cfg = ExperimentConfig(signal=SignalConfig(t_max=0.4, n=10**400))
+        (cell,) = run_sweep(cfg, [0.3], [0], methods=("dft",))
+        assert cell.error == (
+            "ValueError: the grid needs about 10^400 samples, more than an array can hold"
+        )
+
     def test_positive_t0_keeps_configured_grid(self):
         cfg = ExperimentConfig(signal=SignalConfig(evolver="exact", t0=0.1, t_max=0.5, n=41))
         assert simulate_signal(cfg).grid.n == 41
@@ -684,3 +706,19 @@ class TestConfigParsing:
     def test_out_of_range_signal_value_rejected(self, values, field):
         with pytest.raises(ValueError, match=f"^{field} must be"):
             SignalConfig(**values)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: ExperimentConfig.from_dict({"model": [4.0, 0.745]}),
+         "model section must be an object, got list"),
+        # without interaction the model has one line, and no gap to resolve
+        (lambda: theory_threshold_t_max(ExperimentConfig(model=ModelParams(u=0.0))),
+         "threshold undefined for fewer than two poles"),
+    ],
+    ids=["non-object-section", "one-pole-threshold"],
+)
+def test_bad_input_rejected(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()

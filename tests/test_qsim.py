@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -528,3 +530,26 @@ class TestGateErrorMitigation:
         signal = TimeSignal(grid, np.ones(41), "physical")
         with pytest.raises(ValueError, match="sample at t = 0"):
             mitigate_gate_error(signal)
+
+
+_H_EFF = build_hamiltonians(PARAMS)[2]
+_GS = prepare_ground_state(PARAMS)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: PauliHamiltonian(((1.0, PauliString(("X",))),), qubit_count=2),
+         "term X acts on 1 qubits, register has 2"),
+        (lambda: ShotConfig(shots=0), "shots must be >= 1 when given"),
+        (lambda: exact_evolve(_H_EFF, 0.1, _GS), "state dimension does not match Hamiltonian"),
+        (lambda: trotter2_evolve(_H_EFF, 0.1, 0, _GS), "steps must be >= 1"),
+        (lambda: green_sym(_H_EFF, _GS, 0.1, evolver="trotter3"), "unknown evolver 'trotter3'"),
+        (lambda: hadamard_test(_H_EFF, StateVector(np.eye(8)[0]), "X", "X", 0.1),
+         "ground state must live on the two site qubits"),
+    ],
+    ids=["term-size", "zero-shots", "state-size", "zero-steps", "evolver", "ground-state-size"],
+)
+def test_bad_input_rejected(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -263,3 +264,32 @@ class TestJson:
         back = signal_from_json(json.loads(json.dumps(data)))
         assert back.grid == grid
         np.testing.assert_array_equal(back.samples, signal.samples)
+
+
+_GRID = SamplingGrid(t0=0.0, n=4, dt=1.0)
+_RMAP = RescaleMap(-1.0, 1.0, 0.5, 0.0)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: LineSpectrum((), "fourier"), "unknown domain tag 'fourier'"),
+        (lambda: SamplingGrid(t0=0.0, n=4, dt=0.0), "sample spacing must be positive"),
+        (lambda: TimeSignal(_GRID, np.ones(4), "fourier"), "unknown domain tag 'fourier'"),
+        (lambda: RescaleMap(1.0, 1.0, 0.5, 0.0), "need omega_b > omega_a"),
+        (lambda: RescaleMap(-1.0, 1.0, 0.0, 0.0), "delta_omega must be positive"),
+        (lambda: to_canonical(TimeSignal(_GRID, np.ones(4), CANONICAL), _RMAP),
+         "to_canonical expects a physical-domain signal"),
+        (lambda: to_canonical_spectrum(LineSpectrum((), CANONICAL), _RMAP),
+         "expected a physical-domain spectrum"),
+        (lambda: from_canonical(LineSpectrum((), PHYSICAL), _RMAP),
+         "expected a canonical-domain spectrum"),
+    ],
+    ids=[
+        "spectrum-domain", "zero-spacing", "signal-domain", "empty-window", "zero-padding",
+        "canonical-signal", "canonical-spectrum", "physical-spectrum",
+    ],
+)
+def test_bad_input_rejected(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
