@@ -218,7 +218,8 @@ def cmd_oracle(args) -> int:
         print(f"model: U = {config.model.u}, V = {config.model.v}")
         print("amplitude   frequency     z")
     for p in spectrum.poles:
-        print(f"{abs(p.amplitude):9.6f}  {p.frequency:+10.6f}  {p.z_expect:+.6f}")
+        # + 0.0 turns a z that rounds to -0 into 0
+        print(f"{abs(p.amplitude):9.6f}  {p.frequency:+10.6f}  {round(p.z_expect, 6) + 0.0:+.6f}")
     return EXIT_OK
 
 

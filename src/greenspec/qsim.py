@@ -21,8 +21,9 @@ Hamiltonian, controlled Pauli again, then a Z- or (rotated) Y-basis
 ancilla readout.  The state before the evolution does not depend on t, so
 a sample grid costs one batched evolution per prepared Pauli: one for the
 one-sided assembly, two for the two-sided one.  Finite-shot readout draws
-Bernoulli outcomes with the exact probability as bias, with an
-independent, reproducible substream per (time, seed, observable).
+a binomial count with the exact probability as bias from an independent,
+reproducible substream per (time, seed, observable); one vectorised pass
+seeds the substreams of a whole grid.
 """
 
 from __future__ import annotations
@@ -278,23 +279,83 @@ def _ancilla_p0(psi: np.ndarray, basis: str) -> np.ndarray:
     return np.sum(np.abs(b0) ** 2, axis=-1)
 
 
-def _shot_rng(seed: int, t: float, tag: int) -> np.random.Generator:
-    # independent substream per (seed, time, observable); keyed on the exact
-    # float bits of t so a cell's draws do not depend on which cells ran
-    # before it
-    t_bits = int(np.float64(t).view(np.uint64))
-    return np.random.default_rng(np.random.SeedSequence((seed, t_bits, tag)))
+# numpy's SeedSequence hash constants, and PCG64's 128-bit LCG multiplier
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT, _MASK128 = 0x2360ED051FC65DA44385DF649FCCF645, (1 << 128) - 1
+
+
+def _hasher(const: int, mult: int):
+    # SeedSequence's running hash of one uint32 column per call; the constant
+    # steps through const, const * mult, ... (mod 2^32)
+    def hashmix(x: np.ndarray) -> np.ndarray:
+        nonlocal const
+        x = x ^ np.uint32(const)
+        const = const * mult & 0xFFFFFFFF
+        x = x * np.uint32(const)
+        return x ^ (x >> 16)
+
+    return hashmix
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    r = x * np.uint32(_MIX_L) - y * np.uint32(_MIX_R)
+    return r ^ (r >> 16)
+
+
+def _pcg_states(seed: int, times: np.ndarray, tag: int):
+    """Yield per time the PCG64 (state, inc) of default_rng(SeedSequence((seed, t_bits, tag))).
+
+    Replays SeedSequence on uint32 columns, one row per time.  A row's entropy
+    is the 32-bit words of seed, of t_bits (one word below 2^32, else two) and
+    of tag; the first four fill the pool, and each further word is mixed in.
+    """
+    seed = int(seed)
+    if seed < 0:
+        raise ValueError("expected non-negative integer")
+    bits = times.view(np.uint64)
+    lo, hi = (bits & 0xFFFFFFFF).astype(np.uint32), (bits >> 32).astype(np.uint32)
+    shifts = range(0, seed.bit_length() or 1, 32)
+    cols = [np.full(len(times), seed >> s & 0xFFFFFFFF, np.uint32) for s in shifts]
+    n_words = len(cols) + 2 + (hi > 0)
+    # a row whose t_bits fit one word moves tag up a column and ends in a 0,
+    # which is also what SeedSequence hashes for a pool word past the entropy
+    cols += [lo, np.where(hi > 0, hi, np.uint32(tag)), np.where(hi > 0, np.uint32(tag), hi)]
+    hashmix = _hasher(_INIT_A, _MULT_A)
+    pool = [hashmix(c) for c in cols[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for i in range(4, len(cols)):
+        for dst in range(4):
+            pool[dst] = np.where(i < n_words, _mix(pool[dst], hashmix(cols[i])), pool[dst])
+    hashmix = _hasher(_INIT_B, _MULT_B)
+    out = [hashmix(pool[i % 4]).astype(np.uint64) for i in range(8)]
+    # PCG64 seeds from initstate = w0 w1 and seq = w2 w3, 128 bits each:
+    # inc = 2 seq + 1, state = (inc + initstate) M + inc (mod 2^128)
+    for w0, w1, w2, w3 in zip(*((out[2 * j] | out[2 * j + 1] << 32).tolist() for j in range(4))):
+        inc = ((w2 << 64 | w3) << 1 | 1) & _MASK128
+        yield ((w0 << 64 | w1) + inc) * _PCG_MULT + inc & _MASK128, inc
 
 
 def _estimate(p0: np.ndarray, shot: ShotConfig, times: np.ndarray, tag: int) -> np.ndarray:
+    """Shot estimates 2 k / shots - 1 of the exact P(0) values p0.
+
+    k = default_rng(SeedSequence((seed, t_bits, tag))).binomial(shots, p): one
+    independent substream per (time, seed, observable), keyed on the exact
+    float bits t_bits of t, so a cell's draws do not depend on which cells ran
+    before it.  One vectorised pass seeds the substreams of the whole grid.
+    """
     if shot.shots is None:
         return 2.0 * p0 - 1.0
-    k = np.array(
-        [
-            _shot_rng(shot.seed, t, tag).binomial(shot.shots, min(max(p, 0.0), 1.0))
-            for t, p in zip(times, p0)
-        ]
-    )
+    bit_gen = np.random.PCG64(0)
+    rng = np.random.Generator(bit_gen)
+    k = np.empty(len(times), dtype=np.int64)
+    for i, ((state, inc), p) in enumerate(zip(_pcg_states(shot.seed, times, tag), p0)):
+        bit_gen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                         "has_uint32": 0, "uinteger": 0}
+        k[i] = rng.binomial(shot.shots, min(max(p, 0.0), 1.0))
     return 2.0 * k / shot.shots - 1.0
 
 

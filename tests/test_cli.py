@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,6 +33,15 @@ class TestOracleCommand:
         assert "0.547457" in out
         assert "0.475410" in out
         assert "3.041470" in out
+
+    def test_example_table_prints_no_negative_zero(self, capsys):
+        # the example's second pole has z = -5.55e-17 from round-off, which a
+        # plain +.6f shows as -0.000000
+        example = Path(__file__).resolve().parent.parent / "demos" / "config.example.json"
+        assert main(["oracle", "--config", str(example)]) == 0
+        out = capsys.readouterr().out
+        assert out.count("+0.000000") == 2
+        assert "-0.000000" not in out
 
     @pytest.mark.parametrize("option", [["--out", "out"], ["--seed", "5"]])
     def test_output_options_are_usage_errors(self, option):

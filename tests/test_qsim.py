@@ -306,6 +306,75 @@ class TestHadamardTest:
         assert abs(np.mean(draws) - exact) <= 3.0 * std_err
 
 
+def per_sample_estimate(p0, shot, times, tag):
+    """The per-sample form of the draws: one SeedSequence and generator per time."""
+    k = np.array(
+        [
+            np.random.default_rng(
+                np.random.SeedSequence((shot.seed, int(np.float64(t).view(np.uint64)), tag))
+            ).binomial(shot.shots, min(max(p, 0.0), 1.0))
+            for t, p in zip(times, p0)
+        ]
+    )
+    return 2.0 * k / shot.shots - 1.0
+
+
+# t = 0 and the subnormals have float bits below 2^32 (one entropy word),
+# -0.0 and the grid two; the grid straddles 0 like a two-sided signal's
+DRAW_TIMES = np.concatenate([[0.0, -0.0, 5e-324, 1e-320], np.linspace(-0.5, 0.5, 21)])
+# clamped to [0, 1] before the draw; the edge cases below 0, above 1, 0 and 1
+# sit on grid times, since a clamped p draws the same k from any substream
+DRAW_P = np.concatenate([np.linspace(0.02, 0.98, 21), [-1e-12, 1.0 + 1e-12, 0.0, 1.0]])
+
+
+class TestShotDraws:
+    @pytest.mark.parametrize("shots", [1, 500, 10**5, 2**63 - 1])
+    @pytest.mark.parametrize("seed", [0, 9, 2**32 - 1, 2**32, 2**70 + 1])
+    def test_match_per_sample_seed_sequences(self, seed, shots):
+        # seeds from 2^32 on take more than one entropy word, so some rows
+        # have more words than SeedSequence's four-word pool holds
+        shot = ShotConfig(shots, seed)
+        for tag in range(8):
+            got = qsim._estimate(DRAW_P, shot, DRAW_TIMES, tag)
+            assert got.tobytes() == per_sample_estimate(DRAW_P, shot, DRAW_TIMES, tag).tobytes()
+
+    @pytest.mark.parametrize(
+        "seed, t, tag, shots, p, k",
+        [
+            (0, 0.0, 0, 500, 0.3, 135),
+            (0, 5e-324, 4, 500, 0.6, 301),
+            (9, -0.0, 1, 10**5, 0.71, 70814),
+            (2**32 - 1, 0.25, 2, 1, 0.5, 1),
+            (2**32, -3.5, 5, 10**5, 0.123, 12381),
+            (2**70 + 1, 1e-320, 7, 2**63 - 1, 0.4, 3689348815914242560),
+            (3, 7.75, 6, 10**5, 0.999, 99898),
+        ],
+    )
+    def test_pinned_draws(self, seed, t, tag, shots, p, k):
+        # recorded from the per-sample form; unlike that reference, these do
+        # not move with numpy's binomial stream
+        got = qsim._estimate(np.array([p]), ShotConfig(shots, seed), np.array([t]), tag)
+        assert got.tobytes() == (2.0 * np.array([k]) / shots - 1.0).tobytes()
+
+    @pytest.mark.parametrize(
+        "rows", [slice(3, 9), slice(0, 1), slice(None, None, 3), slice(-4, None)]
+    )
+    def test_slice_of_grid_draws_its_slice(self, rows):
+        # a cell's draws do not depend on which other times share the call
+        times = np.linspace(-0.45, 0.45, 46)
+        p0 = np.linspace(0.05, 0.95, 46)
+        shot = ShotConfig(100000, 4)
+        full = qsim._estimate(p0, shot, times, 3)
+        assert qsim._estimate(p0[rows], shot, times[rows], 3).tobytes() == full[rows].tobytes()
+
+    def test_empty_grid_draws_nothing(self):
+        _, _, h_eff = build_hamiltonians(PARAMS)
+        gs = prepare_ground_state(PARAMS)
+        shot = ShotConfig(100000, 4)
+        assert qsim._estimate(np.empty(0), shot, np.empty(0), 0).shape == (0,)
+        assert green_general(h_eff, gs, np.empty(0), shot=shot).shape == (0,)
+
+
 class TestGreenFunctions:
     def test_sym_at_time_zero(self):
         _, _, h_eff = build_hamiltonians(PARAMS)
@@ -542,13 +611,15 @@ _GS = prepare_ground_state(PARAMS)
         (lambda: PauliHamiltonian(((1.0, PauliString(("X",))),), qubit_count=2),
          "term X acts on 1 qubits, register has 2"),
         (lambda: ShotConfig(shots=0), "shots must be >= 1 when given"),
+        (lambda: green_sym(_H_EFF, _GS, 0.1, shot=ShotConfig(10, seed=-1)),
+         "expected non-negative integer"),
         (lambda: exact_evolve(_H_EFF, 0.1, _GS), "state dimension does not match Hamiltonian"),
         (lambda: trotter2_evolve(_H_EFF, 0.1, 0, _GS), "steps must be >= 1"),
         (lambda: green_sym(_H_EFF, _GS, 0.1, evolver="trotter3"), "unknown evolver 'trotter3'"),
         (lambda: hadamard_test(_H_EFF, StateVector(np.eye(8)[0]), "X", "X", 0.1),
          "ground state must live on the two site qubits"),
     ],
-    ids=["term-size", "zero-shots", "state-size", "zero-steps", "evolver", "ground-state-size"],
+    ids=["term-size", "zero-shots", "negative-seed", "state-size", "zero-steps", "evolver", "ground-state-size"],
 )
 def test_bad_input_rejected(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
