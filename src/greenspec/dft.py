@@ -7,6 +7,9 @@ bins around it to pull the peak off the grid, and subtract the fitted atom's
 full padded spectrum from the residual.  Zero padding refines peak
 localization but adds no resolution; closely spaced lines stay merged, which
 is precisely the failure mode the atomic-norm route avoids.
+
+Each signal builds its fit tables and work buffers once, and each fitted
+atom once: the refit passes add back the stored atom of the peak they redo.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ _STOP_FRACTION = 0.05  # extraction stops once the strongest bin falls below thi
 _FIT_HALFWIDTH = 3  # bins on either side of the argmax that a peak's kernel is fitted to
 _REFIT_ROUNDS = 6  # coordinate re-fit sweeps after the greedy pass
 _ZOOM = np.linspace(-1.0, 1.0, 33)  # a fit level's candidates, spaced 1/16 of its half-width
+# levels 6-8 (from 0) choose between misfits ~1e-13 apart, by rounding; 8 levels move eps ~3e-9
 _ZOOM_LEVELS = 9  # the last level's candidates lie 16**-9 of a padded bin apart
 
 
@@ -49,61 +53,115 @@ def _dirichlet_ratio(delta: np.ndarray, n: int) -> np.ndarray:
     return ratio
 
 
-def _fit_peak(residual: np.ndarray, k_max: int, n: int, total: int) -> tuple[complex, float]:
-    """Least-squares (amplitude, frequency) of one kernel near bin k_max.
+class _Peeler:
+    """One signal's residual with its fit tables, stored atoms and work buffers.
 
-    The frequency is searched within one padded bin of the argmax; for each
-    candidate the best amplitude is the closed-form projection onto the
-    kernel restricted to the _FIT_HALFWIDTH bins on either side.  Each zoom
-    level scores its 33 candidates in one array and centres the next, 16
-    times narrower, level on the best of them.
+    Everything is allocated here, once per signal; fit_peak and atom write
+    their results into these arrays rather than into fresh ones.
     """
-    offsets = np.arange(-_FIT_HALFWIDTH, _FIT_HALFWIDTH + 1)
-    bins = offsets / total  # the kernel is 1-periodic, so these need no wrapping
-    # with f = k_max/total + u, the kernel at bin offset b is
-    # exp(i pi (n-1) (u - b)) times the real _dirichlet_ratio(u - b); its
-    # phase splits into one per bin, taken off the data here, and one per
-    # candidate, which the amplitude absorbs
-    data = residual[(k_max + offsets) % total] * np.exp(1j * np.pi * (n - 1) * bins)
-    data = data.view(float).reshape(-1, 2)  # (bin, [re, im])
-    u, half = 0.0, 1.0 / total
-    for _ in range(_ZOOM_LEVELS):
-        cands = u + half * _ZOOM
-        kernel = _dirichlet_ratio(cands[:, None] - bins, n)
-        amp = (kernel @ data) / np.einsum("ij,ij->i", kernel, kernel)[:, None]
-        err = data - amp[:, None, :] * kernel[:, :, None]
-        best = np.einsum("ijk,ijk->i", err, err).argmin()
-        u, half = cands[best], half / 16.0
-    amp_best = complex(amp[best, 0], amp[best, 1]) * np.exp(-1j * np.pi * (n - 1) * u)
-    return amp_best, (k_max / total + u) % 1.0
 
+    def __init__(self, residual: np.ndarray, n: int) -> None:
+        self.residual, self.n, self.total = residual, n, len(residual)
+        self.offsets = np.arange(-_FIT_HALFWIDTH, _FIT_HALFWIDTH + 1)
+        self.bins = self.offsets / self.total  # the kernel is 1-periodic, so these need no wrapping
+        # with f = k_max/total + u, the kernel at bin offset b is
+        # exp(i pi (n-1) (u - b)) times the real _dirichlet_ratio(u - b); its
+        # phase splits into one per bin, taken off the data here, and one per
+        # candidate, which the amplitude absorbs
+        self.phase = np.exp(1j * np.pi * (n - 1) * self.bins)
+        # level L's candidates are u + steps[L]: half-width 16**-L padded bins
+        self.steps = np.ldexp(1.0 / self.total, -4 * np.arange(_ZOOM_LEVELS))[:, None] * _ZOOM
+        self.scales = np.array([np.pi * n, np.pi])[:, None, None]  # sin(pi n delta), sin(pi delta)
+        c, b = len(_ZOOM), len(self.bins)
+        self.data, self.ok = np.empty(b, dtype=complex), np.empty((c, b), dtype=bool)
+        self.cands, self.norms, self.score = np.empty(c), np.empty(c), np.empty(c)
+        self.amp, self.delta, self.kernel = np.empty((c, 2)), np.empty((c, b)), np.empty((c, b))
+        self.sines, self.err = np.empty((2, c, b)), np.empty((c, b, 2))
+        # level 0 always centres on u = 0, so its kernel and norms serve every fit
+        cands = np.add(0.0, self.steps[0], out=self.cands)
+        self.level0 = (cands.copy(), *(a.copy() for a in self._kernel(cands)))
+        self.turn = np.exp(1j * np.pi * np.arange(self.total) / self.total)  # atom's table
+        self.atoms = np.empty((_MAX_PEAKS, self.total), dtype=complex)
+        self.den, self.mag = np.empty(self.total), np.empty(self.total)
 
-def _atom(peak: tuple[complex, float], n: int, turn: np.ndarray) -> np.ndarray:
-    """amp * dirichlet_kernel(f - k/total, n) for every padded bin k, from the table turn.
+    def _kernel(self, cands: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """_dirichlet_ratio(cands[:, None] - bins, n) and its squared row norms.
 
-    With turn_k = exp(i pi k/total), x = f - k/total, k = q pad + r and theta_r = pi n f - pi r/pad,
-    sin(pi n x) = (-1)^q sin(theta_r) and exp(i pi (n-1) x) =
-    (-1)^q exp(i (theta_r - pi f)) turn_k.  The signs cancel, so the kernel
-    is a pad-long row times turn_k over sin(pi x) = sin(pi f) Re turn_k -
-    cos(pi f) Im turn_k, with no sine or exponential per bin.
-    """
-    amp, f = peak
-    total = len(turn)
-    pad = total // n
-    k0 = round(f * total)
-    # theta_r = pi n (f - k0/total) + pi (k0 - r)/pad, with k0 - r reduced mod 2 pad
-    theta = np.pi * (((k0 - np.arange(pad)) % (2 * pad)) / pad + n * (f - k0 / total))
-    row = amp * np.exp(1j * (theta - np.pi * f)) * np.sin(theta)
-    den = np.sin(np.pi * f) * turn.real
-    den -= np.cos(np.pi * f) * turn.imag
-    # within pad bins of f the expanded denominator loses digits to
-    # cancellation (and vanishes on grid), so those bins are evaluated directly
-    close = (k0 + np.arange(-pad, pad + 1)) % total
-    den[close] = 1.0
-    out = (turn.reshape(n, pad) * row).reshape(total)
-    out /= den
-    out[close] = amp * dirichlet_kernel(f - close / total, n)
-    return out
+        |cands - bins| < 5/total stays below 1 (total = 16 n >= 32), so the 0/0
+        limit is always n and the odd-integer sign flip of _dirichlet_ratio is not needed.
+        """
+        delta, kernel = self.delta, self.kernel
+        np.subtract(cands[:, None], self.bins, out=delta)
+        num, den = np.sin(np.multiply(self.scales, delta, out=self.sines), out=self.sines)
+        np.greater_equal(np.abs(den, out=delta), 1e-15, out=self.ok)
+        kernel.fill(self.n)
+        np.divide(num, den, out=kernel, where=self.ok)
+        return kernel, np.einsum("ij,ij->i", kernel, kernel, out=self.norms)
+
+    def strongest(self) -> int:
+        """Index of the strongest residual bin; self.mag holds |residual| until the next atom."""
+        return int(np.abs(self.residual, out=self.mag).argmax())
+
+    def fit_peak(self, k_max: int) -> tuple[complex, float]:
+        """Least-squares (amplitude, frequency) of one kernel near bin k_max.
+
+        The frequency is searched within one padded bin of the argmax; for each
+        candidate the best amplitude is the closed-form projection onto the
+        kernel restricted to the _FIT_HALFWIDTH bins on either side.  Each zoom
+        level scores its 33 candidates in one array and centres the next, 16
+        times narrower, level on the best of them.
+        """
+        n, total = self.n, self.total
+        window = self.residual.take(k_max + self.offsets, mode="wrap")
+        data = np.multiply(window, self.phase, out=self.data).view(float).reshape(-1, 2)
+        u = 0.0
+        for level, step in enumerate(self.steps):
+            if level:
+                cands = np.add(u, step, out=self.cands)
+                kernel, norms = self._kernel(cands)
+            else:
+                cands, kernel, norms = self.level0
+            amp = np.matmul(kernel, data, out=self.amp)
+            amp /= norms[:, None]
+            err = np.multiply(amp[:, None, :], kernel[:, :, None], out=self.err)
+            np.subtract(data, err, out=err)
+            best = np.einsum("ijk,ijk->i", err, err, out=self.score).argmin()
+            u = cands[best]
+        amp_best = complex(amp[best, 0], amp[best, 1]) * np.exp(-1j * np.pi * (n - 1) * u)
+        return amp_best, (k_max / total + u) % 1.0
+
+    def atom(self, peak: tuple[complex, float], out: np.ndarray) -> np.ndarray:
+        """amp * dirichlet_kernel(f - k/total, n) for every padded bin k, written into out.
+
+        With turn_k = exp(i pi k/total), x = f - k/total, k = q pad + r and theta_r = pi n f - pi r/pad,
+        sin(pi n x) = (-1)^q sin(theta_r) and exp(i pi (n-1) x) =
+        (-1)^q exp(i (theta_r - pi f)) turn_k.  The signs cancel, so the kernel
+        is a pad-long row times turn_k over sin(pi x) = sin(pi f) Re turn_k -
+        cos(pi f) Im turn_k, with no sine or exponential per bin.
+        """
+        amp, f = peak
+        n, total, turn = self.n, self.total, self.turn
+        pad = total // n
+        k0 = round(f * total)
+        # theta_r = pi n (f - k0/total) + pi (k0 - r)/pad, with k0 - r reduced mod 2 pad
+        theta = np.pi * (((k0 - np.arange(pad)) % (2 * pad)) / pad + n * (f - k0 / total))
+        row = amp * np.exp(1j * (theta - np.pi * f)) * np.sin(theta)
+        den = np.multiply(np.sin(np.pi * f), turn.real, out=self.den)
+        den -= np.multiply(np.cos(np.pi * f), turn.imag, out=self.mag)  # mag is free until strongest()
+        # within pad bins of f the expanded denominator loses digits to
+        # cancellation (and vanishes on grid), so those bins are evaluated directly
+        close = (k0 + np.arange(-pad, pad + 1)) % total
+        den[close] = 1.0
+        np.multiply(turn.reshape(n, pad), row, out=out.reshape(n, pad))
+        out /= den
+        out[close] = amp * dirichlet_kernel(f - close / total, n)
+        return out
+
+    def peel(self, k_max: int, slot: int) -> tuple[complex, float]:
+        """Fit the peak at k_max, store its atom in atoms[slot] and subtract it."""
+        peak = self.fit_peak(k_max)
+        self.residual -= self.atom(peak, self.atoms[slot])
+        return peak
 
 
 def extract_peaks_clean(y: TimeSignal) -> LineSpectrum:
@@ -112,7 +170,8 @@ def extract_peaks_clean(y: TimeSignal) -> LineSpectrum:
     Loop: locate the strongest residual bin, fit (amplitude, frequency) of a
     Dirichlet kernel over the bins around it, subtract the fitted atom's
     full padded spectrum, and repeat until _MAX_PEAKS are found or the next
-    peak falls below _STOP_FRACTION of the first.  Amplitudes are kept
+    peak falls below _STOP_FRACTION of the first.  _REFIT_ROUNDS passes then
+    add each peak's atom back and peel it again.  Amplitudes are kept
     complex; positivity of a physical spectrum is checked downstream.
     """
     if y.domain != CANONICAL:
@@ -123,24 +182,20 @@ def extract_peaks_clean(y: TimeSignal) -> LineSpectrum:
     first_peak = float(np.max(np.abs(residual)))
     if first_peak == 0.0:
         return LineSpectrum((), CANONICAL)
-    turn = np.exp(1j * np.pi * np.arange(total) / total)  # the table _atom builds atoms from
-
-    def peel() -> tuple[complex, float]:
-        peak = _fit_peak(residual, int(np.argmax(np.abs(residual))), n, total)
-        residual[:] -= _atom(peak, n, turn)
-        return peak
-
+    peeler = _Peeler(residual, n)
     found: list[tuple[complex, float]] = []
-    for _ in range(_MAX_PEAKS):
-        if np.max(np.abs(residual)) < _STOP_FRACTION * first_peak:
+    for slot in range(_MAX_PEAKS):
+        k_max = peeler.strongest()
+        if peeler.mag[k_max] < _STOP_FRACTION * first_peak:
             break
-        found.append(peel())
+        found.append(peeler.peel(k_max, slot))
     # coordinate re-fits: each pass corrects one peak for the sidelobe
-    # leakage of the others still present in the greedy residual
+    # leakage of the others still present in the greedy residual; the atom
+    # added back is the one stored when that peak was last peeled
     for _ in range(_REFIT_ROUNDS):
-        for i, peak in enumerate(found):
-            residual += _atom(peak, n, turn)
-            found[i] = peel()
+        for slot in range(len(found)):
+            residual += peeler.atoms[slot]
+            found[slot] = peeler.peel(peeler.strongest(), slot)
     # merge duplicate fits of the same line before building the spectrum
     merged: list[tuple[complex, float]] = []
     for amp, f in found:

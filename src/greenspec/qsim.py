@@ -34,13 +34,6 @@ import numpy as np
 
 from .spectrum import LineSpectrum, Pole, SamplingGrid, TimeSignal
 
-_PAULI_MATS = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
-    "Y": np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
-    "Z": np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
-}
-
 
 @dataclass(frozen=True)
 class PauliString:
@@ -54,7 +47,7 @@ class PauliString:
     def __post_init__(self) -> None:
         object.__setattr__(self, "letters", tuple(self.letters))
         for c in self.letters:
-            if c not in _PAULI_MATS:
+            if c not in ("I", "X", "Y", "Z"):
                 raise ValueError(f"invalid Pauli letter {c!r}")
 
     def __str__(self) -> str:
@@ -65,9 +58,21 @@ class PauliString:
         return len(self.letters)
 
     def matrix(self) -> np.ndarray:
-        out = np.array([[1.0 + 0.0j]])
+        """The tensor product as a signed permutation matrix.
+
+        X and Y flip their qubit's bit, so row r holds its one entry in
+        column r ^ flip.  Y contributes -i where the row's bit is 0 and i
+        where it is 1, and Z contributes 1 and -1, so the entry is (-i)^(#Y)
+        times -1 for each set row bit under a Y or a Z.
+        """
+        flip = signs = 0
         for c in self.letters:
-            out = np.kron(out, _PAULI_MATS[c])
+            flip, signs = 2 * flip + (c in "XY"), 2 * signs + (c in "YZ")
+        rows = np.arange(2 ** len(self.letters))
+        out = np.zeros((len(rows), len(rows)), dtype=complex)
+        out[rows, rows ^ flip] = (1, -1j, -1, 1j)[self.letters.count("Y") % 4] * (
+            1.0 - 2.0 * (np.bitwise_count(rows & signs) % 2)
+        )
         return out
 
 

@@ -3,8 +3,18 @@
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from greenspec.dft import dirichlet_kernel
-from greenspec.spectrum import _golden_min
+from greenspec.dft import (
+    _FIT_HALFWIDTH,
+    _MAX_PEAKS,
+    _PAD_FACTOR,
+    _REFIT_ROUNDS,
+    _STOP_FRACTION,
+    _ZOOM,
+    _ZOOM_LEVELS,
+    _dirichlet_ratio,
+    dirichlet_kernel,
+)
+from greenspec.spectrum import _golden_min, _wrap_distance
 
 
 def lasso_objective_oracle(y, tau, grid_size=4096, iters=4000):
@@ -81,3 +91,78 @@ def gated_assignment_oracle(wt, we):
     in_gate = cost <= max_distance
     rows, cols = linear_sum_assignment(np.where(in_gate, cost, 1.0 + cost[in_gate].sum()))
     return tuple((int(r), int(c)) for r, c in zip(rows, cols) if in_gate[r, c])
+
+
+def _reference_fit_peak(residual, k_max, n, total):
+    # one fit with every table rebuilt per call and fresh arrays per zoom level
+    offsets = np.arange(-_FIT_HALFWIDTH, _FIT_HALFWIDTH + 1)
+    bins = offsets / total
+    data = residual[(k_max + offsets) % total] * np.exp(1j * np.pi * (n - 1) * bins)
+    data = data.view(float).reshape(-1, 2)
+    u, half = 0.0, 1.0 / total
+    for _ in range(_ZOOM_LEVELS):
+        cands = u + half * _ZOOM
+        kernel = _dirichlet_ratio(cands[:, None] - bins, n)
+        amp = (kernel @ data) / np.einsum("ij,ij->i", kernel, kernel)[:, None]
+        err = data - amp[:, None, :] * kernel[:, :, None]
+        best = np.einsum("ijk,ijk->i", err, err).argmin()
+        u, half = cands[best], half / 16.0
+    amp_best = complex(amp[best, 0], amp[best, 1]) * np.exp(-1j * np.pi * (n - 1) * u)
+    return amp_best, (k_max / total + u) % 1.0
+
+
+def _reference_atom(peak, n, turn):
+    # one full-length atom in a fresh array, from the table turn_k = exp(i pi k/total)
+    amp, f = peak
+    total = len(turn)
+    pad = total // n
+    k0 = round(f * total)
+    theta = np.pi * (((k0 - np.arange(pad)) % (2 * pad)) / pad + n * (f - k0 / total))
+    row = amp * np.exp(1j * (theta - np.pi * f)) * np.sin(theta)
+    den = np.sin(np.pi * f) * turn.real
+    den -= np.cos(np.pi * f) * turn.imag
+    close = (k0 + np.arange(-pad, pad + 1)) % total
+    den[close] = 1.0
+    out = (turn.reshape(n, pad) * row).reshape(total)
+    out /= den
+    out[close] = amp * dirichlet_kernel(f - close / total, n)
+    return out
+
+
+def reference_extract_peaks_clean(y):
+    """The DFT peak extraction loop in its per-call form: every fit rebuilds
+    its tables, every atom is built afresh (a refit rebuilds the atom it adds
+    back), and the stop test and the argmax each take |residual|.  Returns
+    the sorted, merged (amplitude, frequency) pairs, which extract_peaks_clean's
+    poles must equal bit for bit, and the fits before the merge."""
+    n = y.grid.n
+    total = _PAD_FACTOR * n
+    residual = np.fft.fft(y.samples, total)
+    first_peak = float(np.max(np.abs(residual)))
+    if first_peak == 0.0:
+        return [], []
+    turn = np.exp(1j * np.pi * np.arange(total) / total)
+
+    def peel():
+        peak = _reference_fit_peak(residual, int(np.argmax(np.abs(residual))), n, total)
+        residual[:] -= _reference_atom(peak, n, turn)
+        return peak
+
+    found = []
+    for _ in range(_MAX_PEAKS):
+        if np.max(np.abs(residual)) < _STOP_FRACTION * first_peak:
+            break
+        found.append(peel())
+    for _ in range(_REFIT_ROUNDS):
+        for i, peak in enumerate(found):
+            residual += _reference_atom(peak, n, turn)
+            found[i] = peel()
+    merged = []
+    for amp, f in found:
+        for i, (amp_0, f_0) in enumerate(merged):
+            if _wrap_distance(f, f_0) < 1.0 / (2.0 * total):
+                merged[i] = (amp_0 + amp, f_0)
+                break
+        else:
+            merged.append((amp, f))
+    return sorted(merged, key=lambda p: p[1]), found

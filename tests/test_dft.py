@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
-from _oracles import golden_peak_fit, windowed_misfit
+from _oracles import golden_peak_fit, reference_extract_peaks_clean, windowed_misfit
 
-from greenspec.dft import _PAD_FACTOR, _atom, _fit_peak, dirichlet_kernel, extract_peaks_clean
+from greenspec import pipeline
+from greenspec.dft import _PAD_FACTOR, _Peeler, dirichlet_kernel, extract_peaks_clean
 from greenspec.spectrum import CANONICAL, SamplingGrid, TimeSignal, _wrap_distance
 
 
@@ -86,7 +87,7 @@ class TestExtractPeaksClean:
         maxima = [np.max(np.abs(residual))]
         for _ in range(4):
             k = int(np.argmax(np.abs(residual)))
-            amp, f_hat = _fit_peak(residual, k, n, total)
+            amp, f_hat = _Peeler(residual, n).fit_peak(k)
             residual = residual - amp * dirichlet_kernel(f_hat - np.arange(total) / total, n)
             maxima.append(np.max(np.abs(residual)))
         assert all(b <= a + 1e-9 for a, b in zip(maxima, maxima[1:]))
@@ -142,7 +143,7 @@ class TestFitPeak:
                 f = (k_max + t) / total
                 amp = 0.8 * np.exp(2j * np.pi * rng.uniform())
                 residual = np.fft.fft(amp * np.exp(2j * np.pi * f * np.arange(n)), total)
-                amp_hat, f_hat = _fit_peak(residual, k_max, n, total)
+                amp_hat, f_hat = _Peeler(residual, n).fit_peak(k_max)
                 assert 0.0 <= f_hat < 1.0
                 assert _wrap_distance(f_hat, f % 1.0) <= 1e-9 / total
                 assert abs(amp_hat - amp) <= 1e-9 * abs(amp)
@@ -159,7 +160,7 @@ class TestFitPeak:
             samples += 0.05 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
             residual = np.fft.fft(samples, total)
             k_max = int(np.argmax(np.abs(residual)))
-            _, f_batched = _fit_peak(residual, k_max, n, total)
+            _, f_batched = _Peeler(residual, n).fit_peak(k_max)
             _, f_golden = golden_peak_fit(residual, k_max, n, total)
             batched = windowed_misfit(residual, k_max, n, total, f_batched)[0]
             golden = windowed_misfit(residual, k_max, n, total, f_golden)[0]
@@ -170,16 +171,87 @@ class TestTableAtom:
     @pytest.mark.parametrize("n, pad", [(1, 16), (2, 1), (7, 4), (24, 16), (101, 16), (801, 16)])
     def test_matches_kernel(self, n, pad):
         total = pad * n
-        turn = np.exp(1j * np.pi * np.arange(total) / total)
+        peeler = _Peeler(np.zeros(total, dtype=complex), n)
         rng = np.random.default_rng(total)
         # on grid the expanded denominator vanishes; the value there is n * amp
         on_grid = [0.0, 3 / total, (total - 1) / total]
         for f in [*rng.uniform(0.0, 1.0, 8), *on_grid, 1.0 - 1e-15]:
             amp = complex(*rng.standard_normal(2))
-            got = _atom((amp, f), n, turn)
+            got = peeler.atom((amp, f), np.empty(total, dtype=complex))
             want = amp * dirichlet_kernel(f - np.arange(total) / total, n)
             assert np.all(np.isfinite(got))
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * n * abs(amp))
+
+
+def hex_poles(pairs):
+    return [(complex(a).real.hex(), complex(a).imag.hex(), float(f).hex()) for a, f in pairs]
+
+
+def assert_matches_reference(y):
+    got = hex_poles((p.amplitude, p.frequency) for p in extract_peaks_clean(y).poles)
+    merged, found = reference_extract_peaks_clean(y)
+    assert got == hex_poles(merged)
+    return merged, found
+
+
+class TestMatchesReference:
+    """extract_peaks_clean builds its tables, atoms and |residual| once where
+    the per-call reference rebuilds them; every pole must be bit-identical."""
+
+    @pytest.fixture(scope="class")
+    def long_window_signals(self):
+        # the canonical signals of a DFT sweep at the benchmark's long-window
+        # config (two-sided, 50 samples per unit time), caught on their way in
+        config = pipeline.ExperimentConfig.from_dict({
+            "model": {"u": 4.0, "v": 0.745},
+            "signal": {"evolver": "exact", "t0": -1.0, "t_max": 1.0, "n": 101, "use_sym": False},
+        })
+        signals = []
+
+        def spy(y):
+            signals.append(y)
+            return extract_peaks_clean(y)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(pipeline.dft, "extract_peaks_clean", spy)
+            cells = pipeline.run_sweep(
+                config, [0.3, 2.0, 8.0], [0], ("dft",), ("exact_noiseless", "trotter2_shots")
+            )
+        assert [c.error for c in cells] == [None] * 6
+        return signals
+
+    def test_long_window_signals(self, long_window_signals):
+        assert [y.grid.n for y in long_window_signals] == [31, 31, 201, 201, 801, 801]
+        for y in long_window_signals:
+            merged, _ = assert_matches_reference(y)
+            assert merged
+
+    @pytest.mark.parametrize("n", [2, 5, 24, 51, 200])
+    def test_noisy_random_lines(self, n):
+        rng = np.random.default_rng(n)
+        for lines in range(1, 9):
+            freqs = rng.uniform(0.0, 1.0, lines)
+            coeffs = rng.uniform(0.1, 1.0, lines) * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, lines))
+            y = make_signal(n, freqs, coeffs)
+            noise = 0.05 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+            assert_matches_reference(TimeSignal(y.grid, y.samples + noise, CANONICAL))
+
+    @pytest.mark.parametrize("n", [8, 16, 31])
+    def test_on_grid_lines(self, n):
+        # the zoom keeps candidates on a bin offset, where the fit's 0/0 mask fires
+        assert_matches_reference(make_signal(n, [2 / n], [0.7j]))
+        assert_matches_reference(make_signal(n, [2 / n, 5 / n, 6 / n], [1.0, 0.6j, -0.3]))
+
+    def test_duplicate_merge(self):
+        # noisy one-line signals at n = 5: the refits of some land two fits on one line
+        merges = 0
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            y = make_signal(5, [0.3], [1.0])
+            noise = 0.3 * (rng.standard_normal(5) + 1j * rng.standard_normal(5))
+            merged, found = assert_matches_reference(TimeSignal(y.grid, y.samples + noise, CANONICAL))
+            merges += len(found) > len(merged)
+        assert merges >= 1
 
 
 def test_physical_signal_rejected():

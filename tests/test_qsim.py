@@ -1,3 +1,4 @@
+import itertools
 import re
 
 import numpy as np
@@ -38,6 +39,13 @@ def kron(*ops):
     return out
 
 
+PAULI = {"I": np.eye(2, dtype=complex), "X": SX, "Y": SY, "Z": SZ}
+
+
+def kron_string_matrix(s):
+    return kron(*(PAULI[c] for c in s.letters))
+
+
 def random_state(rng, dim):
     v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     return StateVector(v / np.linalg.norm(v))
@@ -47,6 +55,39 @@ class TestPauliAlgebra:
     def test_string_matrix_matches_kron(self):
         s = PauliString(("Z", "X", "Y"))
         np.testing.assert_allclose(s.matrix(), kron(SZ, SX, SY), atol=1e-15)
+
+    @pytest.mark.parametrize("letters", itertools.product("IXYZ", repeat=3), ids="".join)
+    def test_every_three_letter_string_equals_kron(self, letters):
+        # equal in value; the kron chain's zeros can carry a minus sign
+        assert np.array_equal(PauliString(letters).matrix(), kron_string_matrix(PauliString(letters)))
+
+    @pytest.mark.parametrize("evolver", ["exact", "trotter2"])
+    @pytest.mark.parametrize("shots", [None, 1000, 100000])
+    def test_samples_equal_kron_built_samples(self, monkeypatch, evolver, shots):
+        # the signed zeros where the two matrices differ must not reach a sample
+        _, _, h_eff = build_hamiltonians(PARAMS)
+        gs = prepare_ground_state(PARAMS)
+        shot = ShotConfig(shots=shots, seed=3)
+        grids = [np.linspace(0.0, 8.0, 801), np.linspace(-1.0, 1.0, 101), np.array([0.0, 0.3])]
+
+        def samples():
+            return [
+                green(h_eff, gs, t, evolver, steps, shot).tobytes()
+                for green in (green_sym, green_general)
+                for t in grids
+                for steps in (1, 2, 5)
+            ]
+
+        direct = samples()
+        monkeypatch.setattr(PauliString, "matrix", kron_string_matrix)
+        controlled = {
+            c: np.block(
+                [[np.eye(4), np.zeros((4, 4))], [np.zeros((4, 4)), kron(PAULI[c], PAULI["I"])]]
+            ).T
+            for c in "XY"
+        }
+        monkeypatch.setattr(qsim, "_CONTROLLED_SITE1_T", controlled)
+        assert direct == samples()
 
     def test_controlled_gates_match_kron_blocks(self):
         # ancilla (MSB) |1><1| selects sigma on site 1, |0><0| leaves the row alone
@@ -58,9 +99,10 @@ class TestPauliAlgebra:
             got = rows @ qsim._CONTROLLED_SITE1_T[letter]
             np.testing.assert_allclose(got, (c @ rows.T).T, atol=1e-15)
 
-    def test_invalid_letter_rejected(self):
+    @pytest.mark.parametrize("letter", ["Q", "XY", ""])
+    def test_invalid_letter_rejected(self, letter):
         with pytest.raises(ValueError):
-            PauliString(("Q",))
+            PauliString((letter,))
 
     def test_hamiltonian_is_hermitian(self):
         _, _, h_eff = build_hamiltonians(PARAMS)
