@@ -8,8 +8,8 @@ full padded spectrum from the residual.  Zero padding refines peak
 localization but adds no resolution; closely spaced lines stay merged, which
 is precisely the failure mode the atomic-norm route avoids.
 
-Each signal builds its fit tables and work buffers once, and each fitted
-atom once: the refit passes add back the stored atom of the peak they redo.
+Each signal builds its fit tables once, and each fitted atom once: the
+refit passes add back the stored atom of the peak they redo.
 """
 
 from __future__ import annotations
@@ -54,10 +54,10 @@ def _dirichlet_ratio(delta: np.ndarray, n: int) -> np.ndarray:
 
 
 class _Peeler:
-    """One signal's residual with its fit tables, stored atoms and work buffers.
+    """One signal's residual with its fit tables, stored atoms and atom buffers.
 
-    Everything is allocated here, once per signal; fit_peak and atom write
-    their results into these arrays rather than into fresh ones.
+    Everything is allocated here, once per signal; atom writes each fitted
+    atom into a stored slot rather than into a fresh array.
     """
 
     def __init__(self, residual: np.ndarray, n: int) -> None:
@@ -71,36 +71,14 @@ class _Peeler:
         self.phase = np.exp(1j * np.pi * (n - 1) * self.bins)
         # level L's candidates are u + steps[L]: half-width 16**-L padded bins
         self.steps = np.ldexp(1.0 / self.total, -4 * np.arange(_ZOOM_LEVELS))[:, None] * _ZOOM
-        self.scales = np.array([np.pi * n, np.pi])[:, None, None]  # sin(pi n delta), sin(pi delta)
-        c, b = len(_ZOOM), len(self.bins)
-        self.data, self.ok = np.empty(b, dtype=complex), np.empty((c, b), dtype=bool)
-        self.cands, self.norms, self.score = np.empty(c), np.empty(c), np.empty(c)
-        self.amp, self.delta, self.kernel = np.empty((c, 2)), np.empty((c, b)), np.empty((c, b))
-        self.sines, self.err = np.empty((2, c, b)), np.empty((c, b, 2))
-        # level 0 always centres on u = 0, so its kernel and norms serve every fit
-        cands = np.add(0.0, self.steps[0], out=self.cands)
-        self.level0 = (cands.copy(), *(a.copy() for a in self._kernel(cands)))
         self.turn = np.exp(1j * np.pi * np.arange(self.total) / self.total)  # atom's table
         self.atoms = np.empty((_MAX_PEAKS, self.total), dtype=complex)
-        self.den, self.mag = np.empty(self.total), np.empty(self.total)
+        self.den, self.scratch = np.empty(self.total), np.empty(self.total)
 
-    def _kernel(self, cands: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """_dirichlet_ratio(cands[:, None] - bins, n) and its squared row norms.
-
-        |cands - bins| < 5/total stays below 1 (total = 16 n >= 32), so the 0/0
-        limit is always n and the odd-integer sign flip of _dirichlet_ratio is not needed.
-        """
-        delta, kernel = self.delta, self.kernel
-        np.subtract(cands[:, None], self.bins, out=delta)
-        num, den = np.sin(np.multiply(self.scales, delta, out=self.sines), out=self.sines)
-        np.greater_equal(np.abs(den, out=delta), 1e-15, out=self.ok)
-        kernel.fill(self.n)
-        np.divide(num, den, out=kernel, where=self.ok)
-        return kernel, np.einsum("ij,ij->i", kernel, kernel, out=self.norms)
-
-    def strongest(self) -> int:
-        """Index of the strongest residual bin; self.mag holds |residual| until the next atom."""
-        return int(np.abs(self.residual, out=self.mag).argmax())
+    def strongest(self) -> tuple[int, float]:
+        """Index and magnitude of the strongest residual bin."""
+        k_max = int(np.abs(self.residual, out=self.scratch).argmax())
+        return k_max, float(self.scratch[k_max])
 
     def fit_peak(self, k_max: int) -> tuple[complex, float]:
         """Least-squares (amplitude, frequency) of one kernel near bin k_max.
@@ -113,19 +91,14 @@ class _Peeler:
         """
         n, total = self.n, self.total
         window = self.residual.take(k_max + self.offsets, mode="wrap")
-        data = np.multiply(window, self.phase, out=self.data).view(float).reshape(-1, 2)
+        data = (window * self.phase).view(float).reshape(-1, 2)
         u = 0.0
-        for level, step in enumerate(self.steps):
-            if level:
-                cands = np.add(u, step, out=self.cands)
-                kernel, norms = self._kernel(cands)
-            else:
-                cands, kernel, norms = self.level0
-            amp = np.matmul(kernel, data, out=self.amp)
-            amp /= norms[:, None]
-            err = np.multiply(amp[:, None, :], kernel[:, :, None], out=self.err)
-            np.subtract(data, err, out=err)
-            best = np.einsum("ijk,ijk->i", err, err, out=self.score).argmin()
+        for step in self.steps:
+            cands = u + step
+            kernel = _dirichlet_ratio(cands[:, None] - self.bins, n)
+            amp = (kernel @ data) / np.einsum("ij,ij->i", kernel, kernel)[:, None]
+            err = data - amp[:, None, :] * kernel[:, :, None]
+            best = np.einsum("ijk,ijk->i", err, err).argmin()
             u = cands[best]
         amp_best = complex(amp[best, 0], amp[best, 1]) * np.exp(-1j * np.pi * (n - 1) * u)
         return amp_best, (k_max / total + u) % 1.0
@@ -147,7 +120,7 @@ class _Peeler:
         theta = np.pi * (((k0 - np.arange(pad)) % (2 * pad)) / pad + n * (f - k0 / total))
         row = amp * np.exp(1j * (theta - np.pi * f)) * np.sin(theta)
         den = np.multiply(np.sin(np.pi * f), turn.real, out=self.den)
-        den -= np.multiply(np.cos(np.pi * f), turn.imag, out=self.mag)  # mag is free until strongest()
+        den -= np.multiply(np.cos(np.pi * f), turn.imag, out=self.scratch)
         # within pad bins of f the expanded denominator loses digits to
         # cancellation (and vanishes on grid), so those bins are evaluated directly
         close = (k0 + np.arange(-pad, pad + 1)) % total
@@ -185,8 +158,8 @@ def extract_peaks_clean(y: TimeSignal) -> LineSpectrum:
     peeler = _Peeler(residual, n)
     found: list[tuple[complex, float]] = []
     for slot in range(_MAX_PEAKS):
-        k_max = peeler.strongest()
-        if peeler.mag[k_max] < _STOP_FRACTION * first_peak:
+        k_max, strength = peeler.strongest()
+        if strength < _STOP_FRACTION * first_peak:
             break
         found.append(peeler.peel(k_max, slot))
     # coordinate re-fits: each pass corrects one peak for the sidelobe
@@ -195,7 +168,7 @@ def extract_peaks_clean(y: TimeSignal) -> LineSpectrum:
     for _ in range(_REFIT_ROUNDS):
         for slot in range(len(found)):
             residual += peeler.atoms[slot]
-            found[slot] = peeler.peel(peeler.strongest(), slot)
+            found[slot] = peeler.peel(peeler.strongest()[0], slot)
     # merge duplicate fits of the same line before building the spectrum
     merged: list[tuple[complex, float]] = []
     for amp, f in found:

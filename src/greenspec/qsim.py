@@ -65,14 +65,15 @@ class PauliString:
         where it is 1, and Z contributes 1 and -1, so the entry is (-i)^(#Y)
         times -1 for each set row bit under a Y or a Z.
         """
-        flip = signs = 0
-        for c in self.letters:
-            flip, signs = 2 * flip + (c in "XY"), 2 * signs + (c in "YZ")
-        rows = np.arange(2 ** len(self.letters))
+        q = len(self.letters)
+        rows = np.arange(2**q)
+        flip, parity = 0, np.zeros_like(rows)
+        for shift, c in zip(range(q - 1, -1, -1), self.letters):
+            flip |= (c in "XY") << shift
+            if c in "YZ":
+                parity ^= rows >> shift & 1
         out = np.zeros((len(rows), len(rows)), dtype=complex)
-        out[rows, rows ^ flip] = (1, -1j, -1, 1j)[self.letters.count("Y") % 4] * (
-            1.0 - 2.0 * (np.bitwise_count(rows & signs) % 2)
-        )
+        out[rows, rows ^ flip] = (1, -1j, -1, 1j)[self.letters.count("Y") % 4] * (1.0 - 2.0 * parity)
         return out
 
 

@@ -61,6 +61,14 @@ class TestPauliAlgebra:
         # equal in value; the kron chain's zeros can carry a minus sign
         assert np.array_equal(PauliString(letters).matrix(), kron_string_matrix(PauliString(letters)))
 
+    @pytest.mark.parametrize("q", [1, 2, 4])
+    def test_matrix_needs_no_numpy_2_api(self, monkeypatch, q):
+        # numpy 1.24, the declared floor, has no np.bitwise_count
+        monkeypatch.delattr(np, "bitwise_count", raising=False)
+        for letters in itertools.product("IXYZ", repeat=q):
+            s = PauliString(letters)
+            assert np.array_equal(s.matrix(), kron_string_matrix(s))
+
     @pytest.mark.parametrize("evolver", ["exact", "trotter2"])
     @pytest.mark.parametrize("shots", [None, 1000, 100000])
     def test_samples_equal_kron_built_samples(self, monkeypatch, evolver, shots):
