@@ -23,7 +23,7 @@ by their lower triangles; the update reads (x, u, t) straight off the packed
 sum, and only the projection unpacks one block.  A cold solve starts from
 w = 0, a warm one from a prior solve's final w and rho.  The plain step is a
 fixed-point map w -> g(w), and type-II Anderson acceleration (Walker & Ni,
-SIAM J. Numer. Anal. 2011) extrapolates it from the last twenty residual
+SIAM J. Numer. Anal. 2011) extrapolates it from the last twenty-five residual
 differences, as SCS 3.0 does for its ADMM, with inner products weighted so
 that they are the Frobenius ones of the full blocks.  The stop tests
 always run on the plain step; the memory restarts whenever rho changes or the
@@ -203,12 +203,13 @@ _TOL = 1e-10
 
 # type-II Anderson acceleration of the plain ADMM step: the number of past
 # differences kept, and the ridge on their Gram system relative to its trace.
-# The memory was picked by a sweep over 5-30 (BENCH_19.json): 20 needs a
-# seventh of the iterations of 5 on the two_sided_shots cells.  The ring
-# buffers hold 2 m 2(n+1)^2 doubles, 1.41 MB at n = 46; with them a memory of
-# 30 ran window_curve about 18% faster and two_sided_shots about 12% slower
-# (BENCH_23.json)
-_AA_MEMORY = 20
+# The memory is the largest of a sweep over 15-40 at which no seed-0 count
+# of the ANM workloads or of criteria 03-05 rises above that of 20
+# (BENCH_37.json): window_curve needs 6,123 iterations against 6,886, and
+# two_sided_shots 2,695 against 2,831.  At 26-40 criterion 03 needs more,
+# and the count is bumpy in the memory.  The ring buffers hold 2 m 2(n+1)^2
+# doubles, 1.77 MB at n = 46
+_AA_MEMORY = 25
 _AA_RIDGE = 1e-10
 _EYE = np.eye(_AA_MEMORY)
 
